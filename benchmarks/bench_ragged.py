@@ -1,14 +1,14 @@
 """Packed-column plan sweeps and ragged cross-robot batching.
 
-Two measurements on top of PR 7's ragged-batching work:
+Two measurements on top of the ragged-batching work:
 
-1. **Packed vs dense compiled sweeps** — the mass-matrix and derivative
-   kernels in :mod:`repro.dynamics.plan` can run on packed
-   ``(n, L, 6, |cols|)`` column slabs (gather/scatter over each level's
-   precompiled path/subtree DOF-column union) instead of full ``nv``-wide
-   slabs.  This times ``packing="always"`` against ``packing="never"``
-   plans on the same compiled kernels for Minv and dFD, where the win
-   grows with branch-induced sparsity (atlas is the high-DOF stressor).
+1. **Packed compiled sweeps vs the vectorized engine** — every
+   :class:`repro.dynamics.plan.ExecutionPlan` runs its mass-matrix and
+   derivative kernels on packed ``(n, L, 6, |cols|)`` column slabs (each
+   level's path/subtree DOF-column union as one contiguous window), the
+   only layout the compiled engine has.  This times the ``compiled``
+   engine against the per-link ``vectorized`` engine for Minv and dFD
+   at the largest batch, serial (iiwa) and branched (hyq, atlas) trees.
 
 2. **Coalesced vs fragmented mixed-robot serving** — a heterogeneous
    fleet (one queue per (robot, function)) fragments into per-robot
@@ -19,11 +19,10 @@ Two measurements on top of PR 7's ragged-batching work:
    per-request result-identity check (coalescing must not change any
    answer, bit for bit).
 
-Acceptance anchors: packed dFD >= 1.0x dense on atlas at the largest
-batch (CI smoke floor on the 1-core runner; 1.5x is the target the
-measured ~1.4x tracks), and the coalesced serve run must actually merge
-queues (``flushed_merged >= 1``) while returning bitwise-identical
-results.
+Acceptance anchors: compiled dFD >= 1.0x vectorized at the largest
+batch on atlas *and* iiwa (CI smoke floor), and the coalesced serve run
+must actually merge queues (``flushed_merged >= 1``) while returning
+bitwise-identical results.
 
 Runs under pytest (with the usual summary table) or directly for CI
 smoke::
@@ -37,8 +36,8 @@ import time
 import numpy as np
 
 from repro.dynamics import BatchStates
+from repro.dynamics.engine import get_engine
 from repro.dynamics.functions import RBDFunction
-from repro.dynamics.plan import plan_for
 from repro.model.library import load_robot
 from repro.serve import BatchPolicy, DynamicsService
 
@@ -46,34 +45,33 @@ from repro.serve import BatchPolicy, DynamicsService
 ROBOTS = ("iiwa", "hyq", "atlas")
 BATCH = 256
 FUNCTIONS = (RBDFunction.MINV, RBDFunction.DFD)
-#: CI smoke floor for packed-vs-dense dFD on atlas (1-core runner).
+#: Robots whose compiled-vs-vectorized dFD speedup is gated.
+GATED_ROBOTS = ("atlas", "iiwa")
+#: CI smoke floor for compiled-vs-vectorized dFD (1-core runner).
 RAGGED_FLOOR = 1.0
-#: The design target the measured speedup tracks.
-RAGGED_TARGET = 1.5
 #: Mixed-robot serve load: requests per robot, interleaved round-robin.
 SERVE_ROBOTS = ("iiwa", "hyq", "quadruped_arm")
 SERVE_REQUESTS_PER_ROBOT = 24
 
 
-def _time_packed_pair(model, function, batch, reps=3):
-    """Best-of-``reps`` wall seconds for (dense, packed) plan sweeps.
+def _time_engine_pair(model, function, batch, reps=3):
+    """Best-of-``reps`` wall seconds for (vectorized, compiled) calls.
 
-    The two plans' reps interleave so drift on a noisy shared host hits
-    both sides alike; only the within-run ratio is trusted.
+    The two engines' reps interleave so drift on a noisy shared host
+    hits both sides alike; only the within-run ratio is trusted.
     """
-    dense = plan_for(model, packing="never")
-    packed = plan_for(model, packing="always")
+    engines = (get_engine("vectorized"), get_engine("compiled"))
     states = BatchStates.random(model, batch, seed=0)
     q, qd = states.q, states.qd
     tau = np.random.default_rng(1).normal(size=(batch, model.nv))
     if function is RBDFunction.MINV:
-        calls = [(plan.minv_batch, (q,)) for plan in (dense, packed)]
+        calls = [(e.minv_batch, (model, q)) for e in engines]
     elif function is RBDFunction.DFD:
-        calls = [(plan.dfd_batch, (q, qd, tau)) for plan in (dense, packed)]
+        calls = [(e.dfd_batch, (model, q, qd, tau)) for e in engines]
     else:
         raise ValueError(f"unsupported function {function}")
     for fn, args in calls:
-        fn(*args)                                   # warm-up both plans
+        fn(*args)                                   # warm-up both engines
     best = [float("inf"), float("inf")]
     for _ in range(reps):
         for side, (fn, args) in enumerate(calls):
@@ -85,21 +83,20 @@ def _time_packed_pair(model, function, batch, reps=3):
 
 def run_packed_bench(robots=ROBOTS, batch=BATCH,
                      functions=FUNCTIONS, reps=3) -> list[dict]:
-    """Rows of {robot, function, batch, dense_s, packed_s, speedup}
-    (speedup = dense / packed on the same compiled kernels)."""
+    """Rows of {robot, function, batch, vectorized_s, compiled_s,
+    speedup} (speedup = vectorized / compiled)."""
     rows = []
     for robot in robots:
         model = load_robot(robot)
         for function in functions:
-            dense_s, packed_s = _time_packed_pair(model, function, batch,
-                                                  reps)
+            vec_s, comp_s = _time_engine_pair(model, function, batch, reps)
             rows.append({
                 "robot": robot,
                 "function": function,
                 "batch": batch,
-                "dense_s": dense_s,
-                "packed_s": packed_s,
-                "speedup": dense_s / packed_s,
+                "vectorized_s": vec_s,
+                "compiled_s": comp_s,
+                "speedup": vec_s / comp_s,
             })
     return rows
 
@@ -154,13 +151,14 @@ def _packed_table(rows):
     from repro.reporting import Table
 
     table = Table(
-        "ragged: packed vs dense compiled sweeps (speedup = dense/packed)",
-        ["robot", "function", "batch", "dense (ms)", "packed (ms)",
+        "ragged: packed compiled sweeps vs vectorized "
+        "(speedup = vectorized/compiled)",
+        ["robot", "function", "batch", "vectorized (ms)", "compiled (ms)",
          "speedup"],
     )
     for row in rows:
         table.add_row(row["robot"], row["function"].value, row["batch"],
-                      row["dense_s"] * 1e3, row["packed_s"] * 1e3,
+                      row["vectorized_s"] * 1e3, row["compiled_s"] * 1e3,
                       row["speedup"])
     return table
 
@@ -180,27 +178,33 @@ def _serve_table(rows):
     return table
 
 
-def _atlas_dfd_speedup(rows) -> float:
-    for row in rows:
-        if row["robot"] == "atlas" and row["function"] is RBDFunction.DFD:
-            return row["speedup"]
-    return float("nan")
+def _gated_dfd_speedups(rows) -> dict:
+    """Compiled-vs-vectorized dFD speedup per gated robot."""
+    return {
+        row["robot"]: row["speedup"] for row in rows
+        if row["robot"] in GATED_ROBOTS
+        and row["function"] is RBDFunction.DFD
+    }
+
+
+def _speedup_line(speedups: dict) -> str:
+    cells = ", ".join(f"{robot} {x:.2f}x" for robot, x in speedups.items())
+    return (f"compiled vs vectorized dFD at {BATCH}: {cells} "
+            f"(floor {RAGGED_FLOOR:.1f}x)")
 
 
 def test_packed_sweep_speedup(once):
-    """Packed >= dense on atlas dFD; serve coalescing merges losslessly."""
+    """Compiled >= vectorized dFD on atlas and iiwa; serve coalescing
+    merges losslessly."""
     from conftest import record_table
 
     def _run():
         rows = run_packed_bench()
         record_table(_packed_table(rows))
-        atlas = _atlas_dfd_speedup(rows)
-        record_table(
-            f"== packed-column sweep speedup (atlas dFD, batch {BATCH}) ==\n"
-            f"{atlas:.2f}x dense (floor {RAGGED_FLOOR:.1f}x, "
-            f"target {RAGGED_TARGET:.1f}x)"
-        )
-        assert atlas >= RAGGED_FLOOR, atlas
+        speedups = _gated_dfd_speedups(rows)
+        record_table(f"== packed-column sweeps ==\n{_speedup_line(speedups)}")
+        assert set(speedups) == set(GATED_ROBOTS), speedups
+        assert min(speedups.values()) >= RAGGED_FLOOR, speedups
         serve_rows, identical = run_serve_bench(requests_per_robot=8)
         record_table(_serve_table(serve_rows))
         coalesced = serve_rows[1]
@@ -218,9 +222,8 @@ def main(argv: list[str]) -> int:
     rows = run_packed_bench(reps=reps)
     print(f"bench_ragged: {'quick' if quick else 'full'} mode")
     print(_packed_table(rows).render())
-    atlas = _atlas_dfd_speedup(rows)
-    print(f"\npacked vs dense, atlas dFD at {BATCH}: {atlas:.2f}x "
-          f"(floor {RAGGED_FLOOR:.1f}x, target {RAGGED_TARGET:.1f}x)")
+    speedups = _gated_dfd_speedups(rows)
+    print(f"\n{_speedup_line(speedups)}")
     serve_rows, identical = run_serve_bench(requests_per_robot)
     print()
     print(_serve_table(serve_rows).render())
@@ -234,16 +237,17 @@ def main(argv: list[str]) -> int:
         ] + serve_rows
         path = write_bench_json(
             "ragged", json_rows,
-            {"atlas_dfd_packed_speedup": atlas,
-             "floor": RAGGED_FLOOR, "target": RAGGED_TARGET,
+            {"dfd_speedup_vs_vectorized": speedups,
+             "floor": RAGGED_FLOOR,
              "serve_results_identical": identical,
              "coalesced_merged_flushes": serve_rows[1]["flushed_merged"],
              "coalesced_queues_per_flush":
                  serve_rows[1]["queues_per_flush"]},
         )
         print(f"wrote {path}")
-    if atlas < RAGGED_FLOOR:
-        print("FAIL: packed sweeps lost to dense on atlas dFD",
+    slow = {r: x for r, x in speedups.items() if x < RAGGED_FLOOR}
+    if slow:
+        print(f"FAIL: compiled dFD lost to vectorized on {sorted(slow)}",
               file=sys.stderr)
         return 1
     if not identical:

@@ -6,7 +6,10 @@ requests over one TCP connection to an
 task correlates ``id``-stamped response lines back to the awaiting
 coroutine (or the window queue of a streaming rollout), so a robot
 process can run thousands of in-flight evaluations over a single
-socket.
+socket.  Float arrays in responses arrive binary-encoded and are
+decoded back into ``numpy`` arrays (:mod:`repro.aserve.wire`).  Once the
+connection is lost, every pending and later call raises
+:class:`RemoteServeError` at once instead of waiting.
 
     client = await AsyncServeClient.connect("127.0.0.1", port,
                                             tenant="arm-7",
@@ -25,6 +28,7 @@ import json
 
 import numpy as np
 
+from repro.aserve.wire import MAX_LINE, decode_line
 from repro.serve.request import ServeError
 
 __all__ = ["AsyncServeClient", "RemoteServeError", "RemoteStream"]
@@ -137,6 +141,9 @@ class AsyncServeClient:
         self._write_lock = asyncio.Lock()
         self._reader_task = asyncio.ensure_future(self._read_loop())
         self._closed = False
+        #: Why the connection is unusable (read loop died, or closed);
+        #: None while it is live.
+        self._lost: Exception | None = None
 
     # -- lifecycle -----------------------------------------------------
 
@@ -153,7 +160,8 @@ class AsyncServeClient:
         deadline_s: float | None = None,
     ) -> "AsyncServeClient":
         """Open a connection and bind its tenant identity/policy."""
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(host, port,
+                                                       limit=MAX_LINE)
         client = cls(reader, writer, tenant)
         hello = {"op": "hello", "tenant": tenant}
         for key, value in (("rate_rps", rate_rps), ("burst", burst),
@@ -190,6 +198,8 @@ class AsyncServeClient:
     # -- plumbing ------------------------------------------------------
 
     def _fail_all(self, exc: Exception) -> None:
+        if self._lost is None:
+            self._lost = exc
         pending, self._pending = self._pending, {}
         for future in pending.values():
             if not future.done():
@@ -205,7 +215,7 @@ class AsyncServeClient:
                 if not line:
                     raise ConnectionResetError("server closed connection")
                 try:
-                    payload = json.loads(line)
+                    payload = decode_line(line)
                 except json.JSONDecodeError:
                     continue
                 req_id = payload.get("id")
@@ -230,6 +240,8 @@ class AsyncServeClient:
             await self._writer.drain()
 
     def _allocate(self) -> tuple[int, asyncio.Future]:
+        if self._lost is not None:
+            raise RemoteServeError(f"connection lost: {self._lost}")
         self._next_id += 1
         future = asyncio.get_running_loop().create_future()
         self._pending[self._next_id] = future

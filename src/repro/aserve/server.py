@@ -29,8 +29,19 @@ Protocol (client -> server), one JSON object per line::
 
 Responses echo ``id`` and carry ``"ok": true`` or ``"ok": false`` with
 ``error`` (exception class name) and ``message``; rate-limit refusals
-include ``retry_after_s``.  A connection whose first bytes are an HTTP
-``GET`` is served as a one-shot HTTP/1.1 exchange instead —
+include ``retry_after_s``.  A frame that is valid JSON but not an object
+is answered with ``"error": "InvalidFrame"`` and the connection stays
+open.  Float arrays in responses (``value``, ``qs``, ``qds``, and each
+field of a structured result such as ``FDDerivatives``, which is sent as
+an object of its fields) are binary::
+
+    {"__ndarray__": "<base64 of little-endian float64>", "shape": [...]}
+
+:class:`~repro.aserve.client.AsyncServeClient` decodes them back into
+arrays (:mod:`repro.aserve.wire`); requests stay plain JSON lists.
+
+A connection whose first bytes are an HTTP ``GET`` is served as a
+one-shot HTTP/1.1 exchange instead —
 ``/metrics`` (Prometheus text), ``/healthz``, and ``/telemetry`` — so
 the same port feeds both robot clients and a scraper.
 """
@@ -50,29 +61,11 @@ from repro.aserve.admission import (
 )
 from repro.aserve.autoscale import Autoscaler
 from repro.aserve.gateway import AsyncGateway
+from repro.aserve.wire import MAX_LINE, encode_line
 from repro.dynamics.functions import RBDFunction
 from repro.serve.service import DynamicsService
 
 __all__ = ["AsyncDynamicsServer"]
-
-#: Refuse absurd lines before json.loads allocates for them (a robot
-#: client's biggest payload is a long-horizon controls matrix; 32 MiB
-#: of JSON is far beyond any sane request).
-_MAX_LINE = 32 * 1024 * 1024
-
-
-def _jsonable(value):
-    """Recursively convert engine outputs to JSON-serializable forms."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
-
 
 def _error_payload(req_id, exc: BaseException) -> dict:
     payload = {
@@ -115,7 +108,7 @@ class AsyncDynamicsServer:
     async def start(self) -> "AsyncDynamicsServer":
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port,
-            limit=_MAX_LINE,
+            limit=MAX_LINE,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.autoscaler is not None:
@@ -155,7 +148,7 @@ class AsyncDynamicsServer:
         tracer = self.service.tracer
 
         async def send(payload: dict) -> None:
-            data = json.dumps(payload).encode() + b"\n"
+            data = encode_line(payload)
             async with write_lock:
                 writer.write(data)
                 await writer.drain()
@@ -180,6 +173,13 @@ class AsyncDynamicsServer:
                     message = json.loads(stripped)
                 except json.JSONDecodeError as exc:
                     await send(_error_payload(None, exc))
+                    continue
+                if not isinstance(message, dict):
+                    await send({
+                        "id": None, "ok": False, "error": "InvalidFrame",
+                        "message": "a frame must be a JSON object, got "
+                                   f"{type(message).__name__}",
+                    })
                     continue
                 op = message.get("op")
                 if op == "hello":
@@ -291,7 +291,7 @@ class AsyncDynamicsServer:
         )
         await send({
             "id": req_id, "ok": True,
-            "value": _jsonable(result.value),
+            "value": result.value,
             "shard": result.shard,
             "engine": result.engine,
             "backend": result.backend,
@@ -330,8 +330,8 @@ class AsyncDynamicsServer:
                 await send({
                     "id": req_id, "ok": True, "done": False,
                     "window": [w.t0, w.t1],
-                    "qs": _jsonable(w.trajectory.qs),
-                    "qds": _jsonable(w.trajectory.qds),
+                    "qs": w.trajectory.qs,
+                    "qds": w.trajectory.qds,
                 })
             try:
                 result = await stream.result()
@@ -346,8 +346,8 @@ class AsyncDynamicsServer:
     def _rollout_payload(req_id, result) -> dict:
         return {
             "id": req_id, "ok": True, "done": True,
-            "qs": _jsonable(result.value.qs),
-            "qds": _jsonable(result.value.qds),
+            "qs": result.value.qs,
+            "qds": result.value.qds,
             "horizon": result.horizon,
             "windows": result.windows,
             "shard": result.shard,

@@ -41,6 +41,14 @@ import numpy as _np
 
 from repro.errors import ReproError
 
+try:
+    # NumPy's own pairwise contraction step (batched matmul, or multiply
+    # when nothing is summed): what ``einsum(..., optimize=path)`` runs for
+    # a two-operand path, after re-deriving the path on every call.
+    from numpy._core.einsumfunc import bmm_einsum as _np_pairwise
+except ImportError:         # older numpy: replay through einsum itself
+    _np_pairwise = None
+
 
 class BackendUnavailable(ReproError):
     """The requested backend's runtime is not installed/usable."""
@@ -103,6 +111,9 @@ class ArrayBackend:
     """
 
     name: str = "abstract"
+    #: ``f(expr, a, b, out=None)`` running one pairwise contraction
+    #: without a path search, or None to replay paths through ``einsum``.
+    _pairwise = None
 
     def __init__(self, xp, capabilities: BackendCapabilities) -> None:
         self.xp = xp
@@ -228,12 +239,20 @@ class ArrayBackend:
 
         The plan's contractions run thousands of times per second on the
         serve hot path; the optimal order is derived once per expression
-        (or per expression+shape for 3+ operands) and replayed.
+        (or per expression+shape for 3+ operands) and replayed.  A
+        two-operand path is a single pairwise contraction, so backends
+        with a pairwise step (:attr:`_pairwise`) call it directly and skip
+        the path bookkeeping ``einsum`` would redo on every call.  That
+        step takes explicit subscripts only (``->`` given, no ``...``);
+        other forms go through ``einsum``.
         """
         if not self.capabilities.einsum_paths:
             if out is None:
                 return self.xp.einsum(expr, *ops)
             return self.xp.einsum(expr, *ops, out=out)
+        if (len(ops) == 2 and self._pairwise is not None
+                and "->" in expr and "." not in expr):
+            return self._pairwise(expr, *ops, out=out)
         key = expr if len(ops) == 2 else (
             expr, tuple(op.shape for op in ops)
         )
@@ -280,6 +299,7 @@ class NumpyBackend(ArrayBackend):
     """The reference backend: host NumPy, in-place, cached einsum paths."""
 
     name = "numpy"
+    _pairwise = staticmethod(_np_pairwise) if _np_pairwise else None
 
     def __init__(self) -> None:
         super().__init__(_np, BackendCapabilities(

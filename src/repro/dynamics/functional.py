@@ -24,10 +24,11 @@ any backend: with numpy the kernels run interpreted (the correctness
 reference CI exercises everywhere), with jax each Table-I function
 traces into one fused XLA program via :meth:`ArrayBackend.jit`.
 
-Numerically the sweeps mirror the dense plan kernels step for step
-(same windows ``[col_start, nv)``, same group branches, same
-symmetrization), so equivalence against the ``loop`` engine holds at
-the suite's 1e-10 tolerance on every library robot.
+The sweeps run the same recursions as the plan kernels in DOF column
+order (windows ``[col_start, nv)``, where the plan's packed kernels
+use slot-order windows), with the same group branches, cross-product
+helper and symmetrization, so equivalence against the ``loop`` engine
+holds at the suite's 1e-10 tolerance on every library robot.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.dynamics.mminv import _symmetrize_from_rows
 from repro.dynamics.plan import plan_for
 from repro.model.joints import FloatingJoint
 from repro.model.robot import RobotModel
+from repro.spatial.motion import spatial_cross
 
 _EPS = 1e-12
 
@@ -139,19 +141,13 @@ def fcrf_bar(xp, f):
 
 
 def fcross_motion(xp, a, b):
-    """``a x b`` for motion vectors, pure."""
-    w, v = a[..., :3], a[..., 3:]
-    top = xp.cross(w, b[..., :3])
-    bottom = xp.cross(v, b[..., :3]) + xp.cross(w, b[..., 3:])
-    return xp.concatenate([top, bottom], axis=-1)
+    """``a x b`` for motion vectors, pure (the compiled kernels' formula)."""
+    return spatial_cross(xp, a, b)
 
 
 def fcross_force(xp, a, f):
     """``a x* f`` for a motion vector on a force vector, pure."""
-    w, v = a[..., :3], a[..., 3:]
-    top = xp.cross(w, f[..., :3]) + xp.cross(v, f[..., 3:])
-    bottom = xp.cross(w, f[..., 3:])
-    return xp.concatenate([top, bottom], axis=-1)
+    return spatial_cross(xp, a, f, force=True)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,13 @@ built once per :class:`~repro.model.robot.RobotModel` (from the model plus
   one-DOF common case compiled to broadcast multiplies and paired index
   writes instead of matrix products (the paper's ``s_one_hot`` selection
   wiring);
-* **column windows** — the mass-matrix sweeps touch only the DOF columns
-  a level's links can reach (own-and-descendants), the host-side version
-  of the paper's incremental column vectors (Fig 7b);
+* **packed column windows** — the only column layout: the DOF-column
+  axis of the mass-matrix and derivative sweeps is permuted into slot
+  order, so each level touches one contiguous run of exactly the columns
+  its links can reach (subtree suffix / path prefix), the host-side
+  version of the paper's incremental column vectors (Fig 7b);
 * **precomputed einsum paths** — every contraction in the Table-I kernels
-  runs with a cached ``einsum_path`` (see :func:`cached_einsum`);
+  replays a cached contraction path (see :func:`cached_einsum`);
 * **a reusable workspace** — per-thread, preallocated transform /
   velocity / force / derivative stacks sized ``(n_max, n_links, ...)``,
   so steady-state calls never reallocate the O(n·links) recursion state
@@ -44,8 +46,8 @@ link axis is permuted.
 Forward dynamics runs as a level-scheduled articulated-body pass (three
 O(links) sweeps, no ``nv``-column state at all), which the seed validates
 against the paper's ``Minv @ (tau - C)`` substitution; the derivative
-kernels carry their d/dq and d/dqd operands in one paired column block so
-each level step is a single wide contraction.
+kernels carry their d/dq and d/dqd operands on one block axis so each
+level step is a single broadcast contraction.
 
 :func:`plan_for` memoizes plans per model *and backend* (weakly over
 models, so they can be collected); the ``"compiled"`` engine in
@@ -183,7 +185,7 @@ class PackedLevel:
     level's suffix start: the parent prefix nests inside the child's, so
     forward propagation is one matmul at width ``wp`` plus a zero-fill
     of the ``[wp, w)`` gap, and child suffixes nest inside the parent's,
-    so backward accumulation reuses the dense scatter at the tighter
+    so backward accumulation is one parent scatter at the tighter
     window.  ``own_pos`` gives, per :class:`LevelGroup`, each link's own
     DOF columns in the packed layout — the owned columns the sweeps
     scatter results back to.
@@ -240,34 +242,6 @@ class TransformGroup:
     qslices: tuple = ()      # per-link q slices ("generic" only)
 
 
-def default_workspace_shapes(nb: int, nv: int) -> dict:
-    """Buffer-group shape table for an *unpacked* plan workspace.
-
-    A packed plan (:class:`PackedLevel`) swaps the dense ``mminv`` /
-    ``deriv`` column stacks for per-level packed slabs; everything else
-    is shared.
-    """
-    return {
-        "x": {"X": (nb, 6, 6)},
-        "rnea": {
-            "vj": (nb, 6), "aj": (nb, 6), "v": (nb, 6), "a": (nb, 6),
-            "xv": (nb, 6), "xa": (nb, 6), "f": (nb, 6),
-            "tau": (nv,),
-        },
-        # Articulated/composite inertias, shared by the ABA and
-        # MMinvGen kernels (each fully reinitializes the stack).
-        "ia": {"IA": (nb, 6, 6)},
-        "mminv": {
-            "f_acc": (nb, 6, nv),
-            "out": (nv, nv), "p_prop": (nb, 6, nv),
-        },
-        "deriv": {
-            "DVA": (nb, 6, 4 * nv), "DF": (nb, 6, 2 * nv),
-            "dtau_q": (nv, nv), "dtau_qd": (nv, nv),
-        },
-    }
-
-
 def _scratch_view(buf, n: int, L: int, width: int):
     """A contiguous ``(n, L, 6, width)`` view over a flat scratch buffer."""
     return buf.reshape(-1)[: n * L * 6 * width].reshape(n, L, 6, width)
@@ -292,12 +266,10 @@ class PlanWorkspace:
     propagate through one contraction per level.
     """
 
-    def __init__(self, nb: int, nv: int,
-                 backend: ArrayBackend | None = None,
-                 shapes: dict | None = None) -> None:
+    def __init__(self, shapes: dict,
+                 backend: ArrayBackend | None = None) -> None:
         self._backend = backend or host_backend()
-        self._shapes = default_workspace_shapes(nb, nv) if shapes is None \
-            else shapes
+        self._shapes = shapes
         self.capacity = 0
         self._allocated: set[str] = set()
 
@@ -340,24 +312,11 @@ class ExecutionPlan:
     :mod:`repro.dynamics.engine`.
     """
 
-    #: Packing policy values: ``"auto"`` packs branched topologies (where
-    #: the level unions are strictly narrower than the dense windows and
-    #: wide levels amortize the gathers), ``"always"`` / ``"never"``
-    #: force it either way (``"never"`` is the packed-vs-dense baseline
-    #: the benches compare against).
-    PACKING_MODES = ("auto", "always", "never")
-
     def __init__(self, model: RobotModel,
-                 backend: str | ArrayBackend | None = None, *,
-                 packing: str = "auto") -> None:
+                 backend: str | ArrayBackend | None = None) -> None:
         # Only scalars/arrays/joint objects are captured from the model —
         # no back-reference — so the weak plan cache can actually collect
         # a transient model together with its plan.
-        if packing not in self.PACKING_MODES:
-            raise ValueError(
-                f"unknown packing mode {packing!r}; "
-                f"choose from {self.PACKING_MODES}"
-            )
         self.backend = get_backend(backend)
         if not self.backend.capabilities.inplace:
             raise BackendCapabilityError(
@@ -413,10 +372,7 @@ class ExecutionPlan:
         self.levels = self._build_levels(model, subspaces, starts, stops)
         self.transform_groups = self._build_transform_groups(model, order)
 
-        self.packing = packing
-        self.packed_levels = self._build_packing(model, starts, stops,
-                                                 packing)
-        self.packed = self.packed_levels is not None
+        self.packed_levels = self._build_packing(model, starts, stops)
         self._ws_shapes = self._workspace_shapes()
 
         self.minus_gravity = -np.asarray(model.gravity, dtype=float)
@@ -468,27 +424,26 @@ class ExecutionPlan:
             )
             for g in self.transform_groups
         )
-        if self.packed:
-            opt = lambda a: None if a is None else dev(a)  # noqa: E731
-            self.col_perm = dev(self.col_perm)
-            self.col_pos = dev(self.col_pos)
-            self.gyro_t = dev(self.gyro_t)
-            if self._k1 is not None:
-                self._k1 = {**self._k1,
-                            "axis": dev(self._k1["axis"]),
-                            "axis_nr": dev(self._k1["axis_nr"])}
-            self.packed_levels = tuple(
-                _dc_replace(
-                    pk,
-                    prel=opt(pk.prel),
-                    own_pos=tuple(dev(p) for p in pk.own_pos),
-                    sel_packed=opt(pk.sel_packed),
-                    btr_packed=opt(pk.btr_packed),
-                    dfz=(dev(pk.dfz)
-                         if isinstance(pk.dfz, np.ndarray) else pk.dfz),
-                )
-                for pk in self.packed_levels
+        opt = lambda a: None if a is None else dev(a)  # noqa: E731
+        self.col_perm = dev(self.col_perm)
+        self.col_pos = dev(self.col_pos)
+        self.gyro_t = dev(self.gyro_t)
+        if self._k1 is not None:
+            self._k1 = {**self._k1,
+                        "axis": dev(self._k1["axis"]),
+                        "axis_nr": dev(self._k1["axis_nr"])}
+        self.packed_levels = tuple(
+            _dc_replace(
+                pk,
+                prel=opt(pk.prel),
+                own_pos=tuple(dev(p) for p in pk.own_pos),
+                sel_packed=opt(pk.sel_packed),
+                btr_packed=opt(pk.btr_packed),
+                dfz=(dev(pk.dfz)
+                     if isinstance(pk.dfz, np.ndarray) else pk.dfz),
             )
+            for pk in self.packed_levels
+        )
 
     # ------------------------------------------------------------------
     # Compilation
@@ -625,7 +580,7 @@ class ExecutionPlan:
             ))
         return tuple(groups)
 
-    def _build_packing(self, model, starts, stops, packing):
+    def _build_packing(self, model, starts, stops):
         """Compile the packed column layout (Fig 7b's column vectors).
 
         Packing permutes the *internal* DOF-column axis into slot order
@@ -633,16 +588,12 @@ class ExecutionPlan:
         by depth, the per-level column unions the sweeps need become
         contiguous runs of the permuted layout — prefix ``[0, w)`` for
         the path union, suffix ``[wp, nv)`` for the subtree union — so
-        the packed kernels are the dense kernels at tighter basic-sliced
-        windows, with no per-level index gathers.  ``"auto"`` packs only
-        branched topologies: on a serial chain slot order *is* column
-        order and the windows already match the dense ones.
+        the mass-matrix and derivative sweeps run at tight basic-sliced
+        windows, with no per-level index gathers.  Every topology packs:
+        on a serial chain slot order *is* column order, and the sweeps
+        still gain the block-axis derivative stacks and the fused
+        one-DOF bundle.
         """
-        self.col_perm = self.col_pos = self.gyro_t = None
-        self._k1 = None
-        if packing == "never" or (packing == "auto"
-                                  and self.n_branches <= 1):
-            return None
         nv = self.nv
         perm = np.concatenate([
             np.arange(starts[int(i)], stops[int(i)])
@@ -771,13 +722,11 @@ class ExecutionPlan:
         return tuple(packed)
 
     def _workspace_shapes(self) -> dict:
-        """This plan's workspace shape table (packed plans swap the dense
-        ``deriv`` transfer stack for per-level packed slabs plus two flat
-        scratch buffers for the forward-sweep propagation)."""
+        """This plan's workspace shape table: buffer group -> {name:
+        per-task shape}.  The ``deriv`` group holds one packed slab per
+        level plus two flat scratch buffers for the forward-sweep
+        propagation."""
         nb, nv = self.nb, self.nv
-        shapes = default_workspace_shapes(nb, nv)
-        if not self.packed:
-            return shapes
         # Packed derivative state is block-axis: the [dv/dq | dv/dqd |
         # da/dq | da/dqd] stacks (and the [df/dq | df/dqd] pair) live on a
         # leading block dimension instead of side-by-side columns, so
@@ -791,7 +740,22 @@ class ExecutionPlan:
             scratch = max(scratch, lvl.size * 6 * 4 * pk.w)
         dv["Dscr"] = (scratch,)
         dv["Dscr2"] = (scratch,)
-        return {**shapes, "deriv": dv}
+        return {
+            "x": {"X": (nb, 6, 6)},
+            "rnea": {
+                "vj": (nb, 6), "aj": (nb, 6), "v": (nb, 6), "a": (nb, 6),
+                "xv": (nb, 6), "xa": (nb, 6), "f": (nb, 6),
+                "tau": (nv,),
+            },
+            # Articulated/composite inertias, shared by the ABA and
+            # MMinvGen kernels (each fully reinitializes the stack).
+            "ia": {"IA": (nb, 6, 6)},
+            "mminv": {
+                "f_acc": (nb, 6, nv),
+                "out": (nv, nv), "p_prop": (nb, 6, nv),
+            },
+            "deriv": dv,
+        }
 
     # ------------------------------------------------------------------
     # Workspace and staging
@@ -806,8 +770,7 @@ class ExecutionPlan:
         """
         ws = getattr(self._tls, "ws", None)
         if ws is None:
-            ws = PlanWorkspace(self.nb, self.nv, self.backend,
-                               self._ws_shapes)
+            ws = PlanWorkspace(self._ws_shapes, self.backend)
             self._tls.ws = ws
         return ws.ensure(n, "x", *groups)
 
@@ -942,22 +905,31 @@ class ExecutionPlan:
         vj, aj, f = ws.vj[:n], ws.aj[:n], ws.f[:n]
         a0 = self.minus_gravity if apply_gravity else xp.zeros(6)
 
+        # Velocities first, so the ``v x vj`` bias of every level comes
+        # from one whole-robot cross product in the acceleration pass.
+        if not reuse_velocities:
+            for lvl in self.levels:
+                if plv:
+                    lt = _obs.level_begin()
+                lo, hi = lvl.lo, lvl.hi
+                if lvl.is_root:
+                    v[:, lo:hi] = vj[:, lo:hi]
+                else:
+                    xv[:, lo:hi] = _mv(X[:, lo:hi], v[:, lvl.parent_slots])
+                    v[:, lo:hi] = xv[:, lo:hi] + vj[:, lo:hi]
+                if plv:
+                    _obs.level_end(lt, robot, "rnea", lvl.index)
+        c = cross_motion(v, vj)
         for lvl in self.levels:
             if plv:
                 lt = _obs.level_begin()
             lo, hi = lvl.lo, lvl.hi
             if lvl.is_root:
-                v[:, lo:hi] = vj[:, lo:hi]
                 xa[:, lo:hi] = X[:, lo:hi] @ a0
                 a[:, lo:hi] = xa[:, lo:hi] + aj[:, lo:hi]
             else:
-                par = lvl.parent_slots
-                if not reuse_velocities:
-                    xv[:, lo:hi] = _mv(X[:, lo:hi], v[:, par])
-                    v[:, lo:hi] = xv[:, lo:hi] + vj[:, lo:hi]
-                xa[:, lo:hi] = _mv(X[:, lo:hi], a[:, par])
-                a[:, lo:hi] = (xa[:, lo:hi] + aj[:, lo:hi]
-                               + cross_motion(v[:, lo:hi], vj[:, lo:hi]))
+                xa[:, lo:hi] = _mv(X[:, lo:hi], a[:, lvl.parent_slots])
+                a[:, lo:hi] = xa[:, lo:hi] + aj[:, lo:hi] + c[:, lo:hi]
             if plv:
                 _obs.level_end(lt, robot, "rnea", lvl.index)
 
@@ -1113,176 +1085,17 @@ class ExecutionPlan:
     # MMinvGen (Algorithm 2), level-scheduled
     # ------------------------------------------------------------------
 
-    def _mminvgen(self, ws: PlanWorkspace, n: int, *,
-                  out_minv: bool) -> np.ndarray:
-        """``M`` or ``Minv`` over the staged transforms.
-
-        Dispatches to the packed-column kernel when the plan compiled
-        packed index sets; the dense fallback sweeps the per-level
-        column windows ``[col_start, nv)``.
-        """
-        if self.packed:
-            return self._mminvgen_packed(ws, n, out_minv=out_minv)
-        return self._mminvgen_dense(ws, n, out_minv=out_minv)
-
-    def _mminvgen_dense(self, ws: PlanWorkspace, n: int, *,
-                        out_minv: bool) -> np.ndarray:
-        """Dense-window MMinvGen.
-
-        Column windows: every sweep of a level only touches DOF columns
-        ``[col_start, nv)`` — the columns its links' subtrees own.  Dense
-        level slabs may scribble below a row's own diagonal block, but
-        those entries are structural zeros of the upper form and the final
-        symmetrization reads the upper triangle only.
-        """
-        xp = self._xp
-        t0 = _obs.kernel_begin()
-        X = ws.X[:n]
-        IA, f_acc, out = ws.IA[:n], ws.f_acc[:n], ws.out[:n]
-        IA[:] = self.inertias
-        f_acc[:] = 0.0
-        out[:] = 0.0
-        saved: dict[tuple[int, int], tuple] = {}
-
-        # Backward sweep (Mb submodules).
-        for lvl in reversed(self.levels):
-            lo, hi, w0 = lvl.lo, lvl.hi, lvl.col_start
-            width = self.nv - w0
-            for gi, g in enumerate(lvl.groups):
-                sl = slice(g.lo, g.hi)
-                if g.k == 1:
-                    u = _mv(IA[:, sl], g.axis)               # (n, Lg, 6)
-                    d = xp.einsum("ls,nls->nl", g.axis, u, optimize=False)
-                    stf = self._ein(
-                        "ls,nlsv->nlv", g.axis, f_acc[:, sl, :, w0:]
-                    )
-                    if out_minv:
-                        d_inv = 1.0 / d
-                        out[:, g.rows, w0:] = -(d_inv[..., None] * stf)
-                        out[:, g.rows, g.rows] = d_inv
-                        saved[(lvl.index, gi)] = (u, d_inv)
-                        og = out[:, g.rows, w0:]             # (n, Lg, V)
-                        f_acc[:, sl, :, w0:] += (
-                            u[..., :, None] * og[:, :, None, :]
-                        )
-                        if not lvl.is_root:
-                            IA[:, sl] -= (
-                                d_inv[..., None, None]
-                                * (u[..., :, None] * u[..., None, :])
-                            )
-                    else:
-                        out[:, g.rows, w0:] = stf
-                        out[:, g.rows, g.rows] = d
-                        f_acc[:, g.slots, :, g.dofs[:, 0]] += xp.moveaxis(
-                            u, 1, 0
-                        )
-                else:
-                    u = IA[:, sl] @ g.subspaces              # (n, Lg, 6, k)
-                    d = g.subspaces_t @ u
-                    stf = g.subspaces_t @ f_acc[:, sl, :, w0:]
-                    if out_minv:
-                        d_inv = self.backend.inv(d)
-                        out[:, g.rows, w0:] = (
-                            -(d_inv @ stf)
-                        ).reshape(n, len(g.rows), width)
-                        self._write_diag(out, g, d_inv)
-                        saved[(lvl.index, gi)] = (u, d_inv)
-                        og = out[:, g.rows, w0:].reshape(
-                            n, g.size, g.k, width
-                        )
-                        f_acc[:, sl, :, w0:] += u @ og
-                        if not lvl.is_root:
-                            IA[:, sl] -= (
-                                (u @ d_inv) @ xp.swapaxes(u, -1, -2)
-                            )
-                    else:
-                        out[:, g.rows, w0:] = stf.reshape(
-                            n, len(g.rows), width
-                        )
-                        self._write_diag(out, g, d)
-                        for j in range(g.k):
-                            f_acc[:, g.slots, :, g.dofs[:, j]] += (
-                                xp.moveaxis(u[..., j], 1, 0)
-                            )
-            if not lvl.is_root:
-                xl = X[:, lo:hi]
-                xt = xp.swapaxes(xl, -1, -2)
-                self._scatter_to_parents(
-                    f_acc[:, :, :, w0:], lvl, xt @ f_acc[:, lo:hi, :, w0:]
-                )
-                self._scatter_to_parents(
-                    IA, lvl, (xt @ IA[:, lo:hi]) @ xl
-                )
-
-        if not out_minv:
-            m = _symmetrize_from_rows(out, xp)
-            _obs.kernel_end(t0, self.robot_name, "mminvgen", n)
-            return m
-
-        minv = self._minv_forward(ws, n, saved)
-        _obs.kernel_end(t0, self.robot_name, "mminvgen", n)
-        return minv
-
-    def _minv_forward(self, ws: PlanWorkspace, n: int,
-                      saved: dict) -> np.ndarray:
-        """Forward MMinvGen sweep (Mf submodules), shared by the packed
-        and dense kernels.
-
-        Always dense-windowed: unlike ``M``, the upper triangle of
-        ``Minv`` is dense — propagation fills the cross-branch entries —
-        so there is no subtree structure to pack here.
-        """
-        xp = self._xp
-        X = ws.X[:n]
-        out = ws.out[:n]
-        p_prop = ws.p_prop[:n]
-        p_prop[:] = 0.0
-        for lvl in self.levels:
-            lo, hi, w0 = lvl.lo, lvl.hi, lvl.col_start
-            width = self.nv - w0
-            if not lvl.is_root:
-                xpp = X[:, lo:hi] @ p_prop[:, lvl.parent_slots, :, w0:]
-            for gi, g in enumerate(lvl.groups):
-                sl = slice(g.lo, g.hi)
-                if g.k == 1:
-                    if not lvl.is_root:
-                        u, d_inv = saved[(lvl.index, gi)]
-                        xpp_g = xpp[:, g.rel]
-                        out[:, g.rows, w0:] -= d_inv[..., None] * xp.einsum(
-                            "nls,nlsv->nlv", u, xpp_g, optimize=False
-                        )
-                    og = out[:, g.rows, w0:]
-                    t = g.axis[:, :, None] * og[:, :, None, :]
-                else:
-                    if not lvl.is_root:
-                        u, d_inv = saved[(lvl.index, gi)]
-                        xpp_g = xpp[:, g.rel]
-                        corr = d_inv @ (xp.swapaxes(u, -1, -2) @ xpp_g)
-                        out[:, g.rows, w0:] -= corr.reshape(
-                            n, len(g.rows), width
-                        )
-                    og = out[:, g.rows, w0:].reshape(n, g.size, g.k, width)
-                    t = g.subspaces @ og
-                if lvl.is_root:
-                    p_prop[:, sl, :, w0:] = t
-                else:
-                    p_prop[:, sl, :, w0:] = t + xpp[:, g.rel]
-        return _symmetrize_from_rows(out, xp)
-
     def _mminvgen_packed(self, ws: PlanWorkspace, n: int, *,
                          out_minv: bool) -> np.ndarray:
         """Packed-column MMinvGen backward sweep.
 
         The force accumulator carries its DOF-column axis in the packed
         (slot-order) layout, where each level's subtree union is exactly
-        the suffix ``[wp, nv)`` — the tight version of the dense kernel's
-        ``[col_start, nv)`` window — so the whole sweep is the dense code
-        at narrower basic-sliced windows; everything the window skips is
-        a structural zero the dense kernel spent flops recomputing.
-        Output rows are written in packed columns and unpermuted once at
-        the end (``M``) or before the ``Minv`` forward sweep, which
-        stays in column order (:meth:`_minv_forward`: the upper triangle
-        of ``Minv`` is dense, there is no subtree structure to pack).
+        the suffix ``[wp, nv)`` — tighter than the column-order window
+        ``[col_start, nv)`` — so every sweep step runs at a basic-sliced
+        window and skips only structural zeros.  Output rows are written
+        in packed columns; ``M`` is unpermuted once at the end, ``Minv``
+        after the forward sweep (:meth:`_minv_forward_packed`).
         """
         xp = self._xp
         t0 = _obs.kernel_begin()
@@ -1392,8 +1205,8 @@ class ExecutionPlan:
         the sweep's row windows are governed by reachability, and slot
         order is itself a topological order: row ``r`` only needs columns
         of links no shallower than ``r``, which in the packed layout is
-        exactly the suffix ``[wp, nv)`` — tighter than the dense kernel's
-        ``[col_start, nv)`` windows.  The row stack then holds the upper
+        exactly the suffix ``[wp, nv)`` — tighter than the column-order
+        windows ``[col_start, nv)``.  The row stack then holds the upper
         triangle *of the permuted ordering*: rows are gathered into slot
         order, symmetrized there, and both axes are unpermuted in one
         paired gather at the end.
@@ -1445,156 +1258,30 @@ class ExecutionPlan:
 
     @staticmethod
     def _write_diag(out: np.ndarray, g: LevelGroup, d: np.ndarray,
-                    pos: np.ndarray | None = None) -> None:
-        """Write each link's (k, k) diagonal block of ``out`` (``pos``
-        supplies the packed positions when the layout is packed — both
-        axes, since packed outputs keep permuted rows).
+                    pos: np.ndarray) -> None:
+        """Write each link's (k, k) diagonal block of ``out`` at its
+        packed positions ``pos`` (both axes: packed outputs keep permuted
+        rows).
         """
-        cols = g.dofs if pos is None else pos
         for j in range(g.size):
-            out[:, cols[j][:, None], cols[j][None, :]] = d[:, j]
+            out[:, pos[j][:, None], pos[j][None, :]] = d[:, j]
 
     # ------------------------------------------------------------------
     # dRNEA (analytical dID), level-scheduled with paired d/dq, d/dqd
     # ------------------------------------------------------------------
 
-    def _rnea_derivatives(self, ws: PlanWorkspace,
-                          n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Derivative sweeps over the state left behind by :meth:`_rnea`.
-
-        Requires a full RNEA pass (with the real ``qdd``) in the
-        workspace: ``v``/``xv``/``xa`` from the forward sweep and the
-        accumulated forces ``f`` from the backward sweep (the paper's btr
-        operand).  Dispatches to the packed-column forward sweep when the
-        plan compiled packed index sets.
-        """
-        if self.packed:
-            return self._rnea_derivatives_packed(ws, n)
-        return self._rnea_derivatives_dense(ws, n)
-
-    def _rnea_derivatives_dense(self, ws: PlanWorkspace,
-                                n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Dense derivative sweeps.
-
-        ``DVA`` carries all four transfer stacks side by side
-        (``[dv/dq | dv/dqd | da/dq | da/dqd]``), so parent propagation is
-        one gather and one wide contraction per level; ``DF`` carries the
-        ``[df/dq | df/dqd]`` pair the same way.
-        """
-        xp = self._xp
-        t0 = _obs.kernel_begin()
-        nv = self.nv
-        nv2 = 2 * nv
-        X = ws.X[:n]
-        v, xv, xa, vj, f = (
-            ws.v[:n], ws.xv[:n], ws.xa[:n], ws.vj[:n], ws.f[:n]
-        )
-        D, DF = ws.DVA[:n], ws.DF[:n]
-        # Whole-robot operator stacks, hoisted out of the level loop.
-        gyro = crf_bar(_mv(self.inertias, v)) + crf(v) @ self.inertias
-        cvj = crm(vj)
-
-        # Forward sweep (Df submodules).
-        for lvl in self.levels:
-            lo, hi = lvl.lo, lvl.hi
-            slab = D[:, lo:hi]
-            if lvl.is_root:
-                slab[:] = 0.0
-            else:
-                xp.matmul(X[:, lo:hi], D[:, lvl.parent_slots], out=slab)
-            for g in lvl.groups:
-                if g.k == 1:
-                    # One-hot joint terms: a cross product added at the
-                    # joint's own column in each stack.
-                    if not lvl.is_root:
-                        D[:, g.slots, :, g.dofs[:, 0]] += xp.moveaxis(
-                            cross_motion(xv[:, g.lo:g.hi], g.axis), 1, 0
-                        )
-                    D[:, g.slots, :, nv + g.dofs[:, 0]] += g.axis[:, None]
-                    D[:, g.slots, :, nv2 + g.dofs[:, 0]] += xp.moveaxis(
-                        cross_motion(xa[:, g.lo:g.hi], g.axis), 1, 0
-                    )
-                else:
-                    sel = lvl.sel[g.rel]
-                    gsl = D[:, g.lo:g.hi]
-                    if not lvl.is_root:
-                        gsl[..., :nv] += crm(xv[:, g.lo:g.hi]) @ sel
-                    gsl[..., nv:nv2] += sel
-                    gsl[..., nv2:3 * nv] += crm(xa[:, g.lo:g.hi]) @ sel
-            # a_i includes v_i x vj: differentiate both factors (one
-            # operator covers the dq and dqd halves at once).
-            slab[..., nv2:] -= cvj[:, lo:hi] @ slab[..., :nv2]
-            for g in lvl.groups:
-                if g.k == 1:
-                    D[:, g.slots, :, 3 * nv + g.dofs[:, 0]] += xp.moveaxis(
-                        cross_motion(v[:, g.lo:g.hi], g.axis), 1, 0
-                    )
-                else:
-                    D[:, g.lo:g.hi, :, 3 * nv:] += (
-                        crm(v[:, g.lo:g.hi]) @ lvl.sel[g.rel]
-                    )
-            DF[:, lo:hi] = (
-                self.inertias[lo:hi] @ slab[..., nv2:]
-                + gyro[:, lo:hi] @ slab[..., :nv2]
-            )
-
-        dtau_q, dtau_qd = self._deriv_backward(ws, n)
-        _obs.kernel_end(t0, self.robot_name, "rnea_derivatives", n)
-        return dtau_q, dtau_qd
-
-    def _deriv_backward(self, ws: PlanWorkspace,
-                        n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Backward derivative sweep (Db submodules), dense layout,
-        fused with row extraction: when a level is reached its DF slab is
-        fully accumulated, so its dtau rows are read off first and the
-        btr term is then added in place before propagating to the
-        parents."""
-        xp = self._xp
-        nv = self.nv
-        nv2 = 2 * nv
-        X, f, DF = ws.X[:n], ws.f[:n], ws.DF[:n]
-        dtau_q, dtau_qd = ws.dtau_q[:n], ws.dtau_qd[:n]
-        for lvl in reversed(self.levels):
-            lo, hi = lvl.lo, lvl.hi
-            for g in lvl.groups:
-                if g.k == 1:
-                    r = self._ein(
-                        "ls,nlsv->nlv", g.axis, DF[:, g.lo:g.hi]
-                    )
-                    dtau_q[:, g.rows] = r[..., :nv]
-                    dtau_qd[:, g.rows] = r[..., nv:]
-                else:
-                    r = (g.subspaces_t @ DF[:, g.lo:g.hi]).reshape(
-                        n, len(g.rows), nv2
-                    )
-                    dtau_q[:, g.rows] = r[..., :nv]
-                    dtau_qd[:, g.rows] = r[..., nv:]
-            if lvl.is_root:
-                continue
-            for g in lvl.groups:
-                # d(X^T f)/dq_i adds X^T (S_k x* f_i) at the joint's own
-                # column, with f_i the accumulated force (the btr term).
-                if g.k == 1:
-                    DF[:, g.slots, :, g.dofs[:, 0]] += xp.moveaxis(
-                        cross_force(g.axis, f[:, g.lo:g.hi]), 1, 0
-                    )
-                else:
-                    DF[:, g.lo:g.hi, :, :nv] += self._ein(
-                        "lvij,nlj->nliv", lvl.btr[g.rel], f[:, g.lo:g.hi]
-                    )
-            xt = xp.swapaxes(X[:, lo:hi], -1, -2)
-            self._scatter_to_parents(DF, lvl, xt @ DF[:, lo:hi])
-        return dtau_q, dtau_qd
-
     def _add_diag2(self, base, val) -> None:
         """``base[:, i, :, i] += val[:, :, i]`` over a ``(n, L, 6, C)``
         view (C >= L): the own-column writes of one-DOF groups, whose
-        packed columns run parallel to their slots.  Uses one writable
-        strided view when the backend exposes ``as_strided``; falls back
-        to a fancy-index accumulate.
+        packed columns run parallel to their slots.  A single-link level
+        (every level of a serial chain) is one basic-indexed ``+=``;
+        wider levels use one writable strided view when the backend
+        exposes ``as_strided`` and fall back to a fancy-index accumulate.
         """
         L = base.shape[1]
-        if self._as_strided is not None:
+        if L == 1:
+            base[:, 0, :, 0] += val[..., 0, :]
+        elif self._as_strided is not None:
             st = base.strides
             view = self._as_strided(base, base.shape[:1] + (L, 6),
                                     (st[0], st[1] + st[3], st[2]))
@@ -1611,7 +1298,7 @@ class ExecutionPlan:
                                n: int) -> tuple[np.ndarray, np.ndarray]:
         """Backward derivative sweep over the block-axis packed ``DF``.
 
-        Two passes instead of the dense kernel's fused loop.  The btr
+        Two passes: extraction waits until propagation is done.  The btr
         own-column terms only depend on the static forces, so the fused
         one-DOF bundle adds all of them in one diagonal-strided op up
         front; the propagation pass then just scatters level slabs onto
@@ -1621,8 +1308,8 @@ class ExecutionPlan:
         is final, so the dtau rows come off in one whole-robot matmul
         (plus per-group matmuls for multi-DOF and bundle-less plans)
         written to basic slices of the *permuted-row* dtau pair, minus
-        the own-column btr projection the fused extraction order used to
-        exclude.
+        the own-column btr projection (a link's own btr term belongs to
+        its parent's rows, not its own).
         """
         xp = self._xp
         nv = self.nv
@@ -1883,11 +1570,11 @@ class ExecutionPlan:
 
     def m_batch(self, q):
         ws, n = self._prep(q, None, None, "mminv", "ia")
-        return self._mminvgen(ws, n, out_minv=False)
+        return self._mminvgen_packed(ws, n, out_minv=False)
 
     def minv_batch(self, q):
         ws, n = self._prep(q, None, None, "mminv", "ia")
-        return self._mminvgen(ws, n, out_minv=True)
+        return self._mminvgen_packed(ws, n, out_minv=True)
 
     def fd_batch(self, q, qd, tau, f_ext=None):
         ws, n = self._prep(q, qd, None, "rnea", "ia")
@@ -1896,19 +1583,18 @@ class ExecutionPlan:
     def did_batch(self, q, qd, qdd, f_ext=None):
         ws, n = self._prep(q, qd, qdd, "rnea", "deriv")
         self._rnea(ws, n, f_ext)
-        dtau_q, dtau_qd = self._rnea_derivatives(ws, n)
-        return dtau_q.copy(), dtau_qd.copy()
+        return self._rnea_derivatives_packed(ws, n)
 
     def dfd_batch(self, q, qd, tau, f_ext=None):
         xp = self._xp
         ws, n = self._prep(q, qd, None, "rnea", "mminv", "ia", "deriv")
         bias = self._rnea(ws, n, f_ext)
-        minv = self._mminvgen(ws, n, out_minv=True)
+        minv = self._mminvgen_packed(ws, n, out_minv=True)
         tau = self._operand(tau)
         qdd = _mv(minv, tau - bias)
         self._ein("bsv,nv->nbs", self.sel_all, qdd, out=ws.aj[:n])
         self._rnea(ws, n, f_ext, reuse_velocities=True)
-        dtau_q, dtau_qd = self._rnea_derivatives(ws, n)
+        dtau_q, dtau_qd = self._rnea_derivatives_packed(ws, n)
         return (
             qdd,
             -xp.matmul(minv, dtau_q),
@@ -1921,11 +1607,11 @@ class ExecutionPlan:
         qdd = self._operand(qdd)
         ws, n = self._prep(q, qd, qdd, "rnea", "mminv", "ia", "deriv")
         if minv is None:
-            minv = self._mminvgen(ws, n, out_minv=True)
+            minv = self._mminvgen_packed(ws, n, out_minv=True)
         else:
             minv = xp.asarray(minv, dtype=float)
         self._rnea(ws, n, f_ext)
-        dtau_q, dtau_qd = self._rnea_derivatives(ws, n)
+        dtau_q, dtau_qd = self._rnea_derivatives_packed(ws, n)
         return (
             qdd,
             -xp.matmul(minv, dtau_q),
@@ -1994,13 +1680,9 @@ class ExecutionPlan:
             "levels": len(self.levels),
             "level_widths": [lvl.size for lvl in self.levels],
             "max_level_width": max(lvl.size for lvl in self.levels),
-            "packing": self.packing,
-            "packed": self.packed,
-        }
-        if self.packed:
-            # Level-width-weighted column counts: packed vs the dense
-            # sweeps' footprints (the flop-ratio the packing buys).
-            info["packed_cols"] = {
+            # Level-width-weighted column counts: packed sweeps vs full
+            # / column-order windows (the flop ratio the packing buys).
+            "packed_cols": {
                 "deriv_packed": sum(
                     lvl.size * pk.w
                     for lvl, pk in zip(self.levels, self.packed_levels)
@@ -2016,7 +1698,8 @@ class ExecutionPlan:
                     lvl.size * (self.nv - lvl.col_start)
                     for lvl in self.levels
                 ),
-            }
+            },
+        }
         return info
 
     def __repr__(self) -> str:
@@ -2032,21 +1715,19 @@ class ExecutionPlan:
 # Plan cache
 # ---------------------------------------------------------------------------
 
-#: model -> {(backend name, packing): plan}.  Weak over models so
-#: transient models can be collected together with every variant of
-#: their plan.
-_PLAN_CACHE: "weakref.WeakKeyDictionary[RobotModel, dict[tuple, ExecutionPlan]]" = (
+#: model -> {backend name: plan}.  Weak over models so transient models
+#: can be collected together with every backend's plan.
+_PLAN_CACHE: "weakref.WeakKeyDictionary[RobotModel, dict[str, ExecutionPlan]]" = (
     weakref.WeakKeyDictionary()
 )
 _PLAN_LOCK = threading.Lock()
 
 
 def plan_for(model: RobotModel,
-             backend: str | ArrayBackend | None = None, *,
-             packing: str = "auto") -> ExecutionPlan:
+             backend: str | ArrayBackend | None = None) -> ExecutionPlan:
     """The memoized :class:`ExecutionPlan` for ``model`` on ``backend``.
 
-    Plans are cached per (model instance, backend name, packing mode) —
+    Plans are cached per (model instance, backend name) —
     weakly over models, so transient models can be collected;
     :func:`repro.model.library.load_robot` returns shared instances, so
     serve traffic for one robot compiles exactly one plan per backend —
@@ -2054,7 +1735,7 @@ def plan_for(model: RobotModel,
     cloning it per device type.
     """
     bk = get_backend(backend)
-    key = (bk.name, packing)
+    key = bk.name
     plans = _PLAN_CACHE.get(model)
     if plans is not None:
         plan = plans.get(key)
@@ -2067,7 +1748,7 @@ def plan_for(model: RobotModel,
             _PLAN_CACHE[model] = plans
         plan = plans.get(key)
         if plan is None:
-            plan = ExecutionPlan(model, bk, packing=packing)
+            plan = ExecutionPlan(model, bk)
             plans[key] = plan
     return plan
 
@@ -2080,6 +1761,5 @@ __all__ = [
     "PlanWorkspace",
     "TransformGroup",
     "cached_einsum",
-    "default_workspace_shapes",
     "plan_for",
 ]

@@ -15,8 +15,10 @@ cupy; immutable-array backends resolve to the host).
 
 from __future__ import annotations
 
-from repro.backend import array_namespace
+from repro.backend import array_namespace, host_backend
 from repro.spatial.so3 import skew
+
+_host = host_backend().xp
 
 
 def crm(v):
@@ -38,26 +40,56 @@ def crf(v):
     return -xp.swapaxes(crm(v), -1, -2)
 
 
+def _cross_index(a_offsets, b_offsets):
+    """Gathers ``(ia, ib, ja, jb)`` for three stacked 3-vector crosses
+    ``t = a[ia] * b[ib] - a[ja] * b[jb]``; the offsets pick each cross's
+    3-vectors in ``a`` and ``b`` (0 = angular part, 3 = linear part)."""
+    p, q = (1, 2, 0), (2, 0, 1)
+
+    def idx(offsets, perm):
+        return _host.asarray([o + i for o in offsets for i in perm])
+
+    return (idx(a_offsets, p), idx(b_offsets, q),
+            idx(a_offsets, q), idx(b_offsets, p))
+
+
+#: ``[w x b_w | v x b_w | w x b_v]`` for ``a = [w; v]`` (motion cross).
+_MOTION_IDX = _cross_index((0, 3, 0), (0, 0, 3))
+#: ``[w x f_n | v x f_f | w x f_f]`` for ``f = [n; f]`` (force cross).
+_FORCE_IDX = _cross_index((0, 3, 0), (0, 3, 3))
+
+
+def spatial_cross(xp, a, b, *, force: bool = False):
+    """``a x b`` (motion) or, with ``force``, ``a x* b`` on ``xp`` arrays.
+
+    Pure and backend-generic (no in-place writes), so the traceable
+    kernels share it.  Every 3-vector cross is ``np.cross``'s own
+    per-component formula (``x1*y2 - x2*y1`` and its cyclic shifts,
+    products rounded then subtracted), so results are bitwise equal to
+    it — but the three crosses a spatial product needs are stacked into
+    one gather per factor, one product pair and one difference instead
+    of numpy's per-call axis normalisation and temporaries.
+    """
+    ia, ib, ja, jb = _FORCE_IDX if force else _MOTION_IDX
+    t = a[..., ia] * b[..., ib] - a[..., ja] * b[..., jb]
+    if force:
+        return xp.concatenate([t[..., :3] + t[..., 3:6], t[..., 6:]],
+                              axis=-1)
+    return xp.concatenate([t[..., :3], t[..., 3:6] + t[..., 6:]], axis=-1)
+
+
 def cross_motion(a, b):
     """``a x b`` for motion vectors, without building the 6x6 operator."""
     xp = array_namespace(a, b)
-    a = xp.asarray(a, dtype=float)
-    b = xp.asarray(b, dtype=float)
-    w, v = a[..., :3], a[..., 3:]
-    top = xp.cross(w, b[..., :3])
-    bottom = xp.cross(v, b[..., :3]) + xp.cross(w, b[..., 3:])
-    return xp.concatenate([top, bottom], axis=-1)
+    return spatial_cross(xp, xp.asarray(a, dtype=float),
+                         xp.asarray(b, dtype=float))
 
 
 def cross_force(a, f):
     """``a x* f`` for a motion vector ``a`` acting on a force vector ``f``."""
     xp = array_namespace(a, f)
-    a = xp.asarray(a, dtype=float)
-    f = xp.asarray(f, dtype=float)
-    w, v = a[..., :3], a[..., 3:]
-    top = xp.cross(w, f[..., :3]) + xp.cross(v, f[..., 3:])
-    bottom = xp.cross(w, f[..., 3:])
-    return xp.concatenate([top, bottom], axis=-1)
+    return spatial_cross(xp, xp.asarray(a, dtype=float),
+                         xp.asarray(f, dtype=float), force=True)
 
 
 def crf_bar(f):

@@ -2,6 +2,8 @@
 the socket server/client pair, the autoscaler, and the load harness."""
 
 import asyncio
+import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from repro.aserve import (
     TokenBucket,
     run_async_load,
 )
+from repro.aserve import wire
+from repro.dynamics import BatchStates, batch_evaluate
 from repro.dynamics.functions import RBDFunction
 from repro.model.library import load_robot
 from repro.serve import DynamicsService
@@ -373,6 +377,149 @@ class TestSocketServer:
         assert health.startswith("HTTP/1.1 200")
         assert '"active_shards": 1' in health
         assert missing.startswith("HTTP/1.1 404")
+
+
+    @pytest.mark.parametrize("robot", ["iiwa", "atlas"])
+    def test_dfd_over_the_wire_matches_loop(self, robot):
+        """dFD replies encode (every FDDerivatives field, binary arrays)
+        and decode back to arrays equal to the loop engine at 1e-10."""
+        model = load_robot(robot)
+        rng = np.random.default_rng(11)
+        q = model.random_q(rng)
+        qd = rng.uniform(-1.0, 1.0, model.nv)
+        tau = rng.normal(size=model.nv)
+        ref = batch_evaluate(model, RBDFunction.DFD,
+                             BatchStates(q[None], qd[None]), tau[None],
+                             engine="loop")[0]
+        with DynamicsService(n_shards=1) as service:
+
+            async def scenario(client, server):
+                return await client.submit(robot, "dFD", q, qd, tau)
+
+            reply = _with_server(service, scenario)
+        fields = [f.name for f in dataclasses.fields(ref)]
+        assert sorted(reply["value"]) == sorted(fields)
+        for name in fields:
+            got = reply["value"][name]
+            assert isinstance(got, np.ndarray)
+            np.testing.assert_allclose(got, getattr(ref, name),
+                                       rtol=1e-10, atol=1e-10)
+
+    def test_non_object_frames_keep_the_connection(self):
+        """Valid JSON that is not an object gets a typed error; the same
+        connection then serves a normal submit."""
+        q0, qd0, _ = _inputs(1, seed=12)
+        with DynamicsService(n_shards=1) as service:
+
+            async def scenario():
+                async with AsyncDynamicsServer(service, port=0) as server:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.port, limit=wire.MAX_LINE)
+                    for frame in (b"[]", b"1", b'"x"', b"null"):
+                        writer.write(frame + b"\n")
+                    writer.write(json.dumps({
+                        "op": "submit", "id": 7, "robot": "iiwa",
+                        "function": "FD", "q": q0.tolist(),
+                        "qd": qd0.tolist(), "u": [0.0] * 7,
+                    }).encode() + b"\n")
+                    await writer.drain()
+                    replies = [wire.decode_line(await asyncio.wait_for(
+                        reader.readline(), 30)) for _ in range(5)]
+                    writer.close()
+                    await writer.wait_closed()
+                    return replies
+
+            replies = asyncio.run(scenario())
+        assert [r["error"] for r in replies[:4]] == ["InvalidFrame"] * 4
+        assert all(r["ok"] is False for r in replies[:4])
+        assert replies[4]["id"] == 7 and replies[4]["ok"] is True
+        assert replies[4]["value"].shape == (7,)
+
+
+async def _scripted_server(handler):
+    """A bare TCP peer standing in for the dynamics server."""
+    return await asyncio.start_server(handler, "127.0.0.1", 0)
+
+
+class TestClientTransport:
+    def test_reply_over_64_kib(self):
+        """The client reads lines up to the server's limit, not asyncio's
+        64 KiB default."""
+        big = np.arange(40_000, dtype=float)
+
+        async def handler(reader, writer):
+            await reader.readline()                    # hello
+            request = json.loads(await reader.readline())
+            writer.write(wire.encode_line(
+                {"id": request["id"], "ok": True, "value": big}))
+            await writer.drain()
+            await reader.read()
+            writer.close()
+            await writer.wait_closed()
+
+        async def run():
+            server = await _scripted_server(handler)
+            async with server:
+                client = await AsyncServeClient.connect(
+                    "127.0.0.1", server.sockets[0].getsockname()[1])
+                try:
+                    return await asyncio.wait_for(client.ping(), 10)
+                finally:
+                    await client.close()
+
+        reply = asyncio.run(run())
+        assert len(wire.encode_line(reply)) > 64 * 1024
+        np.testing.assert_array_equal(reply["value"], big)
+
+    def test_calls_fail_promptly_once_the_reader_dies(self):
+        """After the read loop dies, pending and later calls raise at
+        once instead of waiting forever."""
+
+        async def handler(reader, writer):
+            await reader.readline()                    # hello
+            await reader.readline()                    # first request
+            writer.close()
+            await writer.wait_closed()
+
+        async def run():
+            server = await _scripted_server(handler)
+            async with server:
+                client = await AsyncServeClient.connect(
+                    "127.0.0.1", server.sockets[0].getsockname()[1])
+                try:
+                    with pytest.raises(RemoteServeError):
+                        await asyncio.wait_for(client.ping(), 10)
+                    for call in (client.ping(), client.telemetry(),
+                                 client.stream_rollout(
+                                     "iiwa", np.zeros(7), np.zeros(7),
+                                     np.zeros((2, 7)), dt=1e-3,
+                                     window=1)):
+                        with pytest.raises(RemoteServeError,
+                                           match="connection lost"):
+                            await asyncio.wait_for(call, 1)
+                finally:
+                    await client.close()
+
+        asyncio.run(run())
+
+
+class TestWireCodec:
+    def test_float_arrays_round_trip_bitwise(self):
+        arrays = [np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 5e-324]),
+                  np.random.default_rng(0).normal(size=(3, 4, 2)),
+                  np.float32([1.5, 2.25]), np.zeros((0, 3))]
+        decoded = wire.decode_line(wire.encode_line({"a": arrays}))["a"]
+        for got, want in zip(decoded, arrays):
+            assert got.dtype == np.float64 and got.shape == want.shape
+            np.testing.assert_array_equal(
+                got.view(np.uint64), want.astype(np.float64).view(np.uint64))
+            got[...] = 0.0          # decoded arrays are writable
+
+    def test_non_float_values_stay_plain_json(self):
+        frame = wire.encode_line({"i": np.arange(3), "s": np.int64(2),
+                                  "f": np.float64(0.5), "t": (1, "x")})
+        assert json.loads(frame) == {"i": [0, 1, 2], "s": 2, "f": 0.5,
+                                     "t": [1, "x"]}
 
 
 class TestAutoscaler:

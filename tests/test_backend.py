@@ -140,7 +140,38 @@ class TestOps:
         out = np.empty((5, 6))
         backend.einsum("nij,nj->ni", a, b, out=out)
         np.testing.assert_allclose(out, want, **TOL)
-        assert "nij,nj->ni" in backend._einsum_paths
+        c = rng.normal(size=6)
+        np.testing.assert_allclose(
+            backend.einsum("nij,nj,i->n", a, b, c),
+            np.einsum("nij,nj,i->n", a, b, c), **TOL
+        )
+        assert ("nij,nj,i->n", (a.shape, b.shape, c.shape)) \
+            in backend._einsum_paths
+        for expr in ("nij,nj", "...ij,...j->...i"):       # implicit / ellipsis
+            np.testing.assert_allclose(backend.einsum(expr, a, b),
+                                       np.einsum(expr, a, b), **TOL)
+
+    def test_pairwise_einsum_skips_path_search(self, monkeypatch):
+        """Two-operand calls replay one pairwise contraction; numpy's
+        path search never runs for them once a pairwise step exists."""
+        backend = get_backend("numpy")
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=(3, 6, 6))
+        b = rng.normal(size=(3, 6))
+        backend.einsum("nji,nj->ni", a, b)
+        if backend._pairwise is None:
+            assert "nji,nj->ni" in backend._einsum_paths
+            return
+        want = np.einsum("nji,nj->ni", a, b)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("einsum / path search on a pairwise call")
+
+        monkeypatch.setattr(np, "einsum_path", refuse)
+        monkeypatch.setattr(np, "einsum", refuse)
+        out = np.empty((3, 6))
+        backend.einsum("nji,nj->ni", a, b, out=out)
+        np.testing.assert_allclose(out, want, **TOL)
 
     def test_linalg_and_scatter(self):
         backend = get_backend("numpy")
