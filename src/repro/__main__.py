@@ -193,14 +193,12 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
 def cmd_rollout_bench(args: argparse.Namespace) -> int:
     from repro.rollout.bench import (
         SPEEDUP_TARGET,
+        WORKLOADS,
         format_rollout_table,
         run_rollout_bench,
     )
 
-    workloads = (
-        [args.workload] if args.workload
-        else ["serial", "quadruped_contact"]
-    )
+    workloads = [args.workload] if args.workload else list(WORKLOADS)
     print(f"rollout-bench: batch {args.batch}, horizon {args.horizon}, "
           f"engine {args.engine}")
     rows = [
@@ -473,7 +471,8 @@ def main(argv: list[str] | None = None) -> int:
         help="benchmark batched trajectory rollouts vs per-task stepping",
     )
     rollout.add_argument("--workload", default=None,
-                         choices=("serial", "quadruped_contact"))
+                         choices=("serial", "quadruped_free",
+                                  "quadruped_contact"))
     rollout.add_argument("--batch", type=int, default=64)
     rollout.add_argument("--horizon", type=int, default=16)
     rollout.add_argument("--engine", default="compiled")

@@ -413,13 +413,16 @@ def batch_evaluate(
 
 
 def _fan_out_fd(qdd, dqdd_dq, dqdd_dqd, minv_out, n: int) -> list:
-    return [
-        FDDerivatives(
+    out = []
+    for k in range(n):
+        # dqdd/dtau is Minv: one view serves both fields, so a copy of
+        # the result (deepcopy keeps the aliasing) holds one nv x nv block.
+        minv_k = minv_out[k]
+        out.append(FDDerivatives(
             dqdd_dq=dqdd_dq[k],
             dqdd_dqd=dqdd_dqd[k],
-            dqdd_dtau=minv_out[k],
+            dqdd_dtau=minv_k,
             qdd=qdd[k],
-            minv=minv_out[k],
-        )
-        for k in range(n)
-    ]
+            minv=minv_k,
+        ))
+    return out

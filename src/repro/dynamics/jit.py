@@ -296,9 +296,9 @@ class JitEngine(Engine):
                                scheme: str) -> bool:
         """Whether the whole step loop can fold into one scanned program.
 
-        Quasi-velocity joints (spherical/floating) integrate through
-        per-task exponential maps the trace cannot express, so those
-        models keep the per-step path.
+        Spherical/floating joints integrate batched on host numpy, with
+        in-place writes and a data-dependent near-pi branch no trace can
+        hold, so those models keep the per-step path.
         """
         if scheme not in FUSED_SCHEMES:
             return False

@@ -81,7 +81,8 @@ class Joint(ABC):
     @abstractmethod
     def integrate(self, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
         """Configuration update ``q [+] dq`` consistent with the tangent
-        convention in the module docstring."""
+        convention in the module docstring; broadcasts over leading batch
+        axes, ``(..., nv)``."""
 
     @abstractmethod
     def cost_profile(self) -> JointCostProfile:
@@ -118,21 +119,25 @@ def _se3_exp(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (R, p): the displacement rotation and translation such that the
     frame moves by ``delta`` expressed in its own (body) coordinates.
+    Accepts a ``(..., 6)`` batch and returns ``(..., 3, 3)`` and ``(..., 3)``.
     """
-    w = np.asarray(delta[:3], dtype=float)
-    v = np.asarray(delta[3:], dtype=float)
-    theta = float(np.linalg.norm(w))
+    delta = np.asarray(delta, dtype=float)
+    w = delta[..., :3]
+    v = delta[..., 3:]
+    theta = np.linalg.norm(w, axis=-1)
     r = exp_so3(w)
     k = skew(w)
-    if theta < 1e-8:
-        v_mat = np.eye(3) + 0.5 * k + (k @ k) / 6.0
-    else:
-        v_mat = (
-            np.eye(3)
-            + (1.0 - np.cos(theta)) / theta**2 * k
-            + (theta - np.sin(theta)) / theta**3 * (k @ k)
-        )
-    return r, v_mat @ v
+    # V = I + a K + b K^2; below 1e-8 the series limits a = 1/2, b = 1/6.
+    small = theta < 1e-8
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 0.5, (1.0 - np.cos(safe)) / safe**2)
+    b = np.where(small, 1.0 / 6.0, (safe - np.sin(safe)) / safe**3)
+    v_mat = (
+        np.eye(3)
+        + a[..., None, None] * k
+        + b[..., None, None] * (k @ k)
+    )
+    return r, (v_mat @ v[..., None])[..., 0]
 
 
 class RevoluteJoint(Joint):
@@ -288,6 +293,7 @@ class SphericalJoint(Joint):
         return rot(np.swapaxes(e, -1, -2))
 
     def integrate(self, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
+        # Broadcasts over leading batch axes: (..., 3) -> (..., 3).
         r_new = exp_so3(np.asarray(q, dtype=float)) @ exp_so3(np.asarray(dq, dtype=float))
         return log_so3(r_new)
 
@@ -348,13 +354,12 @@ class FloatingJoint(Joint):
         return spatial_transform(np.swapaxes(r, -1, -2), q[:, 3:])
 
     def integrate(self, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
+        # Broadcasts over leading batch axes: (..., 6) -> (..., 6).
         q = np.asarray(q, dtype=float)
-        dq = np.asarray(dq, dtype=float)
-        r = exp_so3(q[:3])
+        r = exp_so3(q[..., :3])
         r_d, p_d = _se3_exp(dq)
-        r_new = r @ r_d
-        p_new = q[3:] + r @ p_d
-        return np.concatenate([log_so3(r_new), p_new])
+        p_new = q[..., 3:] + (r @ p_d[..., None])[..., 0]
+        return np.concatenate([log_so3(r @ r_d), p_new], axis=-1)
 
     def random(self, rng: np.random.Generator) -> np.ndarray:
         w = rng.normal(size=3)

@@ -182,33 +182,27 @@ class RobotModel:
         return self.random_q(rng), rng.normal(scale=velocity_scale, size=self.nv)
 
     def integrate(self, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
-        """Per-joint manifold update ``q [+] dq``."""
+        """Per-joint manifold update ``q [+] dq``.
+
+        Accepts leading batch axes, ``(..., nv)``.  Joints with plain
+        coordinate velocities (``coordinate_velocity``, i.e. ``integrate
+        == q + dq``) update in one whole-array addition; each
+        quasi-velocity joint (spherical/floating) makes one broadcasting
+        call on its own q slice.
+        """
         q = np.asarray(q, dtype=float)
         dq = np.asarray(dq, dtype=float)
-        out = np.empty_like(q)
-        for i, link in enumerate(self.links):
-            sl = self.dof_slice(i)
-            out[sl] = link.joint.integrate(q[sl], dq[sl])
-        return out
-
-    def batch_integrate(self, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
-        """Manifold update ``q [+] dq`` for a task batch: ``(n, nv)``.
-
-        Joints with plain coordinate velocities (``coordinate_velocity``,
-        i.e. ``integrate == q + dq``) update in one whole-batch addition;
-        quasi-velocity joints (spherical/floating) fall back to their
-        per-task exponential maps on just their own q slice.
-        """
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        dq = np.atleast_2d(np.asarray(dq, dtype=float))
         out = q + dq
         for i, link in enumerate(self.links):
             if link.joint.coordinate_velocity:
                 continue
             sl = self.dof_slice(i)
-            for k in range(q.shape[0]):
-                out[k, sl] = link.joint.integrate(q[k, sl], dq[k, sl])
+            out[..., sl] = link.joint.integrate(q[..., sl], dq[..., sl])
         return out
+
+    def batch_integrate(self, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
+        """Manifold update ``q [+] dq`` for a task batch: ``(n, nv)``."""
+        return self.integrate(np.atleast_2d(q), np.atleast_2d(dq))
 
     def motion_subspaces(self) -> list[np.ndarray]:
         """All S_i, indexable by link."""

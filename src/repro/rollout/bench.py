@@ -1,9 +1,12 @@
 """Rollout benchmark: batched ``(n, T)`` slabs vs per-task stepping.
 
-Two workloads, mirroring the paper's application mix:
+Three workloads, mirroring the paper's application mix:
 
 * ``serial`` — free RK4 rollouts on the iiwa arm (the Fig 13 shape:
   serial in time, parallel across sampling points);
+* ``quadruped_free`` — free semi-implicit rollouts on HyQ, so every step
+  integrates the floating base on the SE(3) manifold with no contact
+  solve to hide its cost;
 * ``quadruped_contact`` — semi-implicit rollouts on HyQ with two feet in
   contact (the legged-MPC shape: every step is a constrained FD).
 
@@ -28,12 +31,16 @@ from repro.rollout import RolloutEngine
 #: Acceptance target at batch 256 (and the CI smoke floor).
 SPEEDUP_TARGET = 5.0
 SPEEDUP_FLOOR = 1.0
+#: Workload names, in report order.
+WORKLOADS = ("serial", "quadruped_free", "quadruped_contact")
 
 
 def _workload(name: str):
     """(robot, scheme, contacts) for a named workload."""
     if name == "serial":
         return "iiwa", "rk4", None
+    if name == "quadruped_free":
+        return "hyq", "semi_implicit", None
     if name == "quadruped_contact":
         model = load_robot("hyq")
         feet = [
@@ -146,6 +153,7 @@ def format_rollout_table(rows: list[dict]):
 __all__ = [
     "SPEEDUP_FLOOR",
     "SPEEDUP_TARGET",
+    "WORKLOADS",
     "format_rollout_table",
     "run_rollout_bench",
 ]

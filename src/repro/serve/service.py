@@ -91,6 +91,12 @@ from repro.serve.request import (
 )
 
 
+def _require_finite(label: str, operand) -> None:
+    """Reject a NaN or inf operand (``None`` passes) at the boundary."""
+    if operand is not None and not np.isfinite(operand).all():
+        raise ValueError(f"{label} must be finite (got NaN or inf)")
+
+
 class DynamicsService:
     """Dynamics-as-a-service over the modeled Dadu-RBD accelerator pool."""
 
@@ -315,6 +321,7 @@ class DynamicsService:
                     f"{label} must have shape ({nv},) for robot "
                     f"{request.robot!r}, got {np.shape(operand)}"
                 )
+            _require_finite(label, operand)
         if request.f_ext:
             if request.function in (RBDFunction.M, RBDFunction.MINV):
                 raise ValueError(
@@ -332,6 +339,7 @@ class DynamicsService:
                         f"f_ext[{link}] must have shape (6,), "
                         f"got {np.shape(value)}"
                     )
+                _require_finite(f"f_ext[{link}]", value)
         if request.function is RBDFunction.DIFD:
             if request.minv is None:
                 raise ValueError("diFD requests must carry minv")
@@ -340,6 +348,7 @@ class DynamicsService:
                     f"minv must have shape ({nv}, {nv}), "
                     f"got {np.shape(request.minv)}"
                 )
+            _require_finite("minv", request.minv)
         elif request.minv is not None:
             # A stray minv would make this request un-stackable with its
             # minv-less batchmates in _execute.
@@ -482,8 +491,8 @@ class DynamicsService:
                 f"unknown rollout scheme {request.scheme!r}; choose from "
                 f"{sorted(SCHEMES)}"
             )
-        if request.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {request.dt}")
+        if not 0 < request.dt < np.inf:
+            raise ValueError(f"dt must be finite and > 0, got {request.dt}")
         model = load_robot(request.robot)
         nv = model.nv
         for label, operand in (("q0", request.q0), ("qd0", request.qd0)):
@@ -492,12 +501,14 @@ class DynamicsService:
                     f"{label} must have shape ({nv},) for robot "
                     f"{request.robot!r}, got {np.shape(operand)}"
                 )
+            _require_finite(label, operand)
         if request.controls.ndim != 2 or request.controls.shape[1] != nv \
                 or request.controls.shape[0] < 1:
             raise ValueError(
                 f"controls must have shape (T, {nv}) with T >= 1, "
                 f"got {request.controls.shape}"
             )
+        _require_finite("controls", request.controls)
         for contact in request.contacts:
             if not 0 <= contact.link < model.nb:
                 raise ValueError(
@@ -539,6 +550,7 @@ class DynamicsService:
                         f"f_ext[{link}] must have shape (6,), "
                         f"got {np.shape(value)}"
                     )
+                _require_finite(f"f_ext[{link}]", value)
 
     def submit_rollout(
         self,

@@ -6,10 +6,11 @@ frame B where B is rotated relative to A, i.e. ``v_B = E @ v_A``.  For a
 frame rotated by ``theta`` about the z axis this is ``rotz(theta) ==
 Rz(theta).T`` where ``Rz`` is the usual rotation matrix.
 
-``skew``, ``unskew`` and ``exp_so3`` accept leading batch axes: a ``(..., 3)``
-input yields a ``(..., 3, 3)`` output with every batch element treated
-independently.  This is the substrate the vectorized dynamics engine builds
-on (loop over links, broadcast over tasks).
+``skew``, ``unskew``, ``exp_so3`` and ``log_so3`` accept leading batch axes:
+a ``(..., 3)`` rotation vector maps to a ``(..., 3, 3)`` matrix and back,
+with every batch element treated independently.  This is the substrate the
+vectorized dynamics engine builds on (loop over links, broadcast over
+tasks).
 
 Array math routes through :mod:`repro.backend`: every operator resolves
 the namespace of its operands (:func:`repro.backend.array_namespace`), so
@@ -92,28 +93,47 @@ def exp_so3(w):
 
 
 def log_so3(r):
-    """Rotation vector ``w`` with ``exp_so3(w) == r`` and ``|w| <= pi``."""
+    """Rotation vector ``w`` with ``exp_so3(w) == r`` and ``|w| <= pi``.
+
+    Accepts a ``(..., 3, 3)`` batch and returns ``(..., 3)``.  Rows within
+    ``1e-6`` of a half turn take the scalar symmetric-part recovery.
+    """
     xp = array_namespace(r)
     r = xp.asarray(r, dtype=float)
-    trace = float(xp.trace(r))
+    trace = r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2]
     cos_theta = xp.clip((trace - 1.0) / 2.0, -1.0, 1.0)
-    theta = float(xp.arccos(cos_theta))
-    if theta < 1e-10:
-        return unskew(r - r.T) / 2.0
-    if _hx.pi - theta < 1e-6:
-        # Near pi the antisymmetric part vanishes; recover the axis from the
-        # symmetric part r ~ 2*axis*axis^T - I.
-        diag = xp.clip((xp.diag(r) + 1.0) / 2.0, 0.0, None)
-        axis = xp.sqrt(diag)
-        # Fix the signs using the off-diagonal terms relative to the largest
-        # component (which is safely non-zero at theta ~ pi).
-        k = int(xp.argmax(axis))
-        for j in range(3):
-            if j != k and r[k, j] + r[j, k] < 0:
-                axis[j] = -axis[j]
-        axis /= max(xp.linalg.norm(axis), _EPS)
-        return theta * axis
-    return theta / (2.0 * xp.sin(theta)) * unskew(r - r.T)
+    theta = xp.arccos(cos_theta)
+    small = theta < 1e-10
+    near_pi = _hx.pi - theta < 1e-6
+    safe = xp.where(small | near_pi, 1.0, theta)
+    # theta / (2 sin theta) scales the antisymmetric part to the rotation
+    # vector; the small-angle limit of that factor is 1/2.
+    scale = xp.where(small, 0.5, safe / (2.0 * xp.sin(safe)))
+    w = scale[..., None] * unskew(r - xp.swapaxes(r, -1, -2))
+    if xp.any(near_pi):
+        if w.ndim == 1:
+            return _log_so3_near_pi(xp, r, float(theta))
+        for idx in zip(*xp.nonzero(near_pi)):
+            w[idx] = _log_so3_near_pi(xp, r[idx], float(theta[idx]))
+    return w
+
+
+def _log_so3_near_pi(xp, r, theta: float):
+    """Rotation vector of one ``(3, 3)`` rotation with angle ~ pi.
+
+    Near pi the antisymmetric part vanishes; recover the axis from the
+    symmetric part ``r ~ 2*axis*axis^T - I``.
+    """
+    diag = xp.clip((xp.diag(r) + 1.0) / 2.0, 0.0, None)
+    axis = xp.sqrt(diag)
+    # Fix the signs using the off-diagonal terms relative to the largest
+    # component (which is safely non-zero at theta ~ pi).
+    k = int(xp.argmax(axis))
+    for j in range(3):
+        if j != k and r[k, j] + r[j, k] < 0:
+            axis[j] = -axis[j]
+    axis /= max(xp.linalg.norm(axis), _EPS)
+    return theta * axis
 
 
 def rotx(theta: float):

@@ -435,6 +435,28 @@ class TestSocketServer:
         assert replies[4]["id"] == 7 and replies[4]["ok"] is True
         assert replies[4]["value"].shape == (7,)
 
+    def test_non_finite_submit_is_a_typed_error(self):
+        """A NaN operand comes back as a ValueError reply, never ok; the
+        connection stays open for the next good submit."""
+        q0, qd0, _ = _inputs(1, seed=13)
+        bad_q = q0.copy()
+        bad_q[3] = np.nan
+        with DynamicsService(n_shards=1) as service:
+
+            async def scenario(client, server):
+                with pytest.raises(RemoteServeError) as bad:
+                    await client.submit("iiwa", "FD", bad_q, qd0,
+                                        np.zeros(7))
+                good = await client.submit("iiwa", "FD", q0, qd0,
+                                           np.zeros(7))
+                return bad.value, good
+
+            error, good = _with_server(service, scenario)
+        assert error.kind == "ValueError"
+        assert "q must be finite" in str(error)
+        assert good["ok"] is True
+        assert np.isfinite(np.asarray(good["value"])).all()
+
 
 async def _scripted_server(handler):
     """A bare TCP peer standing in for the dynamics server."""

@@ -7,6 +7,8 @@ reference engine — same Table-I function, same robot, same batch — to
 external-force path.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,19 @@ class TestEngineEquivalence:
     def test_bad_f_ext_shape_rejected(self):
         with pytest.raises(ValueError, match="f_ext"):
             normalize_f_ext({0: np.zeros((3, 5))}, 3)
+
+    @pytest.mark.parametrize("function", [RBDFunction.DFD, RBDFunction.DIFD])
+    def test_fd_derivative_results_share_one_minv(self, function):
+        """dqdd/dtau and minv are one object per result, so a deep copy
+        of a result holds one nv x nv block, not two."""
+        model = load_robot("hyq")
+        states, u, minv = _batch_inputs(model, function, 3, seed=11)
+        results = batch_evaluate(model, function, states, u, minv=minv)
+        for r in results:
+            assert r.minv is r.dqdd_dtau
+            clone = copy.deepcopy(r)
+            assert clone.minv is clone.dqdd_dtau
+            np.testing.assert_array_equal(clone.minv, r.minv)
 
 
 class TestEngineSelection:

@@ -5,11 +5,20 @@ import pytest
 
 from repro.errors import ModelError
 from repro.model.joints import FloatingJoint, RevoluteJoint
-from repro.model.library import hyq, iiwa, quadruped_arm
+from repro.model.library import (
+    ROBOT_REGISTRY,
+    hyq,
+    iiwa,
+    load_robot,
+    quadruped_arm,
+    random_tree,
+)
 from repro.model.link import Link
 from repro.model.robot import RobotBuilder, RobotModel
+from repro.model.topology import split_floating_base
 from repro.spatial.inertia import SpatialInertia
 from repro.spatial.random import random_inertia
+from repro.spatial.so3 import exp_so3
 
 
 def _simple_inertia():
@@ -140,6 +149,92 @@ class TestConfiguration:
         q, qd = any_robot.random_state(rng)
         assert q.shape == (any_robot.nv,)
         assert qd.shape == (any_robot.nv,)
+
+
+def _integrate_models():
+    models = [load_robot(name) for name in sorted(ROBOT_REGISTRY)]
+    models.append(random_tree(9, seed=2, floating=True))
+    models.append(split_floating_base(load_robot("hyq")))
+    return models
+
+
+INTEGRATE_MODELS = _integrate_models()
+DQ_SCALES = (0.0, 1e-12, 1e-3, 1.0, 3.0)
+
+
+def _integrate_inputs(model, scale, n=16, seed=5):
+    rng = np.random.default_rng(seed)
+    q = np.stack([model.random_q(rng) for _ in range(n)])
+    return q, scale * rng.normal(size=q.shape)
+
+
+def _twist_displacement(w, v):
+    """Body-frame translation of the twist ``[w; v]`` run for unit time,
+    ``int_0^1 exp(s [w]x) v ds``, by 24-point Gauss-Legendre quadrature
+    (independent of the closed-form SE(3) exponential)."""
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    s = 0.5 * (nodes + 1.0)
+    rots = exp_so3(s[:, None] * w)
+    return 0.5 * np.einsum("k,kij,j->i", weights, rots, v)
+
+
+class TestBatchIntegrate:
+    """``batch_integrate`` is one broadcasting call per joint."""
+
+    @pytest.mark.parametrize("scale", DQ_SCALES)
+    @pytest.mark.parametrize("model", INTEGRATE_MODELS,
+                             ids=lambda m: m.name)
+    def test_matches_per_row(self, model, scale):
+        q, dq = _integrate_inputs(model, scale)
+        batched = model.batch_integrate(q, dq)
+        per_row = np.stack([model.integrate(q[k], dq[k])
+                            for k in range(len(q))])
+        np.testing.assert_allclose(batched, per_row, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", DQ_SCALES)
+    @pytest.mark.parametrize("model", INTEGRATE_MODELS,
+                             ids=lambda m: m.name)
+    def test_manifold_properties(self, model, scale):
+        """Rotations compose (``exp(new) == exp(q) @ exp(dq)``) with
+        ``|w| <= pi``; a floating base moves by the twist's body-frame
+        displacement; every other joint adds."""
+        q, dq = _integrate_inputs(model, scale)
+        out = model.batch_integrate(q, dq)
+        for i, link in enumerate(model.links):
+            sl = model.dof_slice(i)
+            joint = link.joint
+            qi, dqi, new = q[:, sl], dq[:, sl], out[:, sl]
+            if joint.coordinate_velocity:
+                np.testing.assert_array_equal(new, qi + dqi)
+                continue
+            assert np.all(np.linalg.norm(new[:, :3], axis=1)
+                          <= np.pi + 1e-12)
+            for k in range(len(q)):
+                np.testing.assert_allclose(
+                    exp_so3(new[k, :3]),
+                    exp_so3(qi[k, :3]) @ exp_so3(dqi[k, :3]),
+                    rtol=0.0, atol=1e-12,
+                )
+                if isinstance(joint, FloatingJoint):
+                    step = _twist_displacement(dqi[k, :3], dqi[k, 3:])
+                    moved = qi[k, 3:] + exp_so3(qi[k, :3]) @ step
+                    np.testing.assert_allclose(new[k, 3:], moved,
+                                               rtol=0.0, atol=1e-12)
+
+    def test_one_joint_call_per_batch(self, monkeypatch):
+        """No per-row loop: each quasi-velocity joint integrates once."""
+        model = load_robot("hyq")
+        calls = []
+        original = FloatingJoint.integrate
+
+        def counted(self, q, dq):
+            calls.append(np.shape(q))
+            return original(self, q, dq)
+
+        monkeypatch.setattr(FloatingJoint, "integrate", counted)
+        q, dq = _integrate_inputs(model, 1.0, n=32)
+        model.batch_integrate(q, dq)
+        assert calls == [(32, 6)]
 
 
 class TestBuilder:

@@ -367,6 +367,30 @@ class TestDynamicsService:
 
 
 class TestServiceRobustness:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_operands_rejected_at_submit(self, service, bad):
+        """NaN/inf in any operand is a ValueError naming that operand."""
+        model = load_robot("iiwa")
+        nv = model.nv
+        good = np.zeros(nv)
+        poisoned = good.copy()
+        poisoned[2] = bad
+        for label, kwargs in (
+            ("q", dict(q=poisoned)),
+            ("qd", dict(q=good, qd=poisoned)),
+            ("u", dict(q=good, qd=good, u=poisoned)),
+            ("f_ext\\[3\\]", dict(q=good, qd=good, u=good,
+                                  f_ext={3: poisoned[:6]})),
+        ):
+            with pytest.raises(ValueError, match=f"{label} must be finite"):
+                service.submit("iiwa", RBDFunction.FD, **kwargs)
+        minv = np.eye(nv)
+        minv[0, 1] = bad
+        with pytest.raises(ValueError, match="minv must be finite"):
+            service.submit("iiwa", RBDFunction.DIFD, good, qd=good, u=good,
+                           minv=minv)
+        assert service.stats()["failed"] == 0
+
     def test_cancelled_future_does_not_strand_batchmates(self):
         with DynamicsService(
             BatchPolicy(max_batch=2, max_wait_s=60.0), n_shards=1

@@ -170,6 +170,29 @@ class TestSubmitRollout:
                     contact_mask=np.ones((4, 1), dtype=bool),
                 )
 
+    def test_non_finite_inputs_rejected(self):
+        """NaN/inf operands and a NaN or inf dt are ValueErrors naming
+        the operand."""
+        model = load_robot("iiwa")
+        q0, qd0, us = _rollout_inputs(model, 4)
+        with DynamicsService(n_shards=1) as service:
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match="dt must be finite"):
+                    service.submit_rollout("iiwa", q0, qd0, us, dt=bad)
+                for label in ("q0", "qd0", "controls"):
+                    args = {"q0": q0, "qd0": qd0, "controls": us}
+                    poisoned = args[label].copy()
+                    poisoned.flat[1] = bad
+                    args[label] = poisoned
+                    with pytest.raises(ValueError,
+                                       match=f"{label} must be finite"):
+                        service.submit_rollout(
+                            "iiwa", args["q0"], args["qd0"],
+                            args["controls"], dt=1e-3)
+            # The service still serves a good rollout afterwards.
+            ok = service.submit_rollout("iiwa", q0, qd0, us, dt=1e-3)
+            assert np.isfinite(ok.result(timeout=30).value.qs).all()
+
     def test_request_key_and_cost(self):
         model = iiwa()
         q0, qd0, us = _rollout_inputs(model, 7)

@@ -63,6 +63,50 @@ class TestExpLog:
         assert np.allclose(r @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0])
 
 
+def _log_cases():
+    """Rotations covering every log_so3 branch: zero, tiny (<1e-10),
+    generic, within 1e-7 of pi, and exactly pi."""
+    rng = np.random.default_rng(7)
+    axes = rng.normal(size=(4, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    mats = [np.eye(3), exp_so3(np.array([3e-11, -1e-11, 2e-11]))]
+    mats += [exp_so3(a * t) for a, t in zip(axes, (0.3, 1.7, 2.9, 3.1))]
+    mats += [exp_so3(a * (np.pi - d))
+             for a, d in zip(axes, (1e-7, 5e-8, 1e-9, 0.0))]
+    # Exact half turns: r = 2 a a^T - I, including a coordinate axis.
+    mats += [2.0 * np.outer(a, a) - np.eye(3) for a in axes[:2]]
+    mats.append(np.diag([1.0, -1.0, -1.0]))
+    return np.stack(mats)
+
+
+class TestBatchedLog:
+    def test_batched_equals_per_element(self):
+        r = _log_cases()
+        batched = log_so3(r)
+        assert batched.shape == (len(r), 3)
+        for k in range(len(r)):
+            np.testing.assert_allclose(batched[k], log_so3(r[k]),
+                                       rtol=0.0, atol=1e-12)
+
+    def test_leading_axes_and_mixed_branches(self):
+        """A (2, n/2, 3, 3) stack mixing every branch in one call."""
+        r = _log_cases()
+        r = r[: len(r) // 2 * 2]
+        grid = log_so3(r.reshape(2, -1, 3, 3))
+        np.testing.assert_allclose(grid.reshape(-1, 3), log_so3(r),
+                                   rtol=0.0, atol=1e-12)
+
+    def test_round_trip_and_range(self):
+        r = _log_cases()
+        w = log_so3(r)
+        assert np.all(np.linalg.norm(w, axis=1) <= np.pi + 1e-12)
+        # The near-pi branch reads the axis off the symmetric part, which
+        # ignores the O(pi - theta) antisymmetric term.
+        np.testing.assert_allclose(exp_so3(w), r, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(exp_so3(w[:6]), r[:6], rtol=0.0,
+                                   atol=1e-12)
+
+
 class TestAxisRotations:
     @pytest.mark.parametrize("fn,axis", [
         (rotx, [1.0, 0.0, 0.0]),
