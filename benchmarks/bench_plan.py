@@ -1,4 +1,4 @@
-"""Structure-compiled engine vs the per-link vectorized engine.
+"""Structure-compiled engine vs the per-task loop reference.
 
 The compiled engine replays a per-robot execution plan
 (:mod:`repro.dynamics.plan`): recursions scheduled by tree *depth level*
@@ -8,14 +8,17 @@ workspaces.  Its advantage grows with branching — a serial chain has one
 link per level, a quadruped advances four legs per step — which is
 exactly the structure argument the paper's SAPS make in silicon.
 
-This bench times ``"compiled"`` against ``"vectorized"`` (and the
-``"loop"`` reference at batch 1, where a per-task Python loop is still
-affordable) on a serial robot (iiwa) and two branched robots (hyq,
-quadruped_arm) across the batch sizes the serve runtime produces.
+This bench times ``"compiled"`` (the default engine) against the
+``"loop"`` reference on a serial robot (iiwa) and three branched robots
+(hyq, quadruped_arm, atlas) across the batch sizes the serve runtime
+produces.
 
-Acceptance anchors: compiled must be >= 1.0x vectorized on a branched
-robot (CI smoke floor) and the full table shows >= 1.5x on branched
-robots at batch 256 for FD (it ships as the serve default).
+Acceptance anchors (speedup = loop / compiled): every branched FD cell
+swept holds its batch's floor (the CI smoke covers batch 64), the best
+branched FD cell at batch 256 reaches the target, and per-robot dFD
+floors hold at batch 256.  Each floor sits ~25% under the lowest ratio
+measured over repeated runs on a 2-core host (numpy 2.4.6), so host
+noise does not trip it but a real kernel regression does.
 
 Runs under pytest (with the usual summary table) or directly for CI
 smoke::
@@ -39,18 +42,16 @@ ROBOTS = (("iiwa", False), ("hyq", True), ("quadruped_arm", True),
           ("atlas", True))
 BATCHES = (1, 64, 256)
 FUNCTIONS = (RBDFunction.FD, RBDFunction.DFD)
-#: CI smoke floor: compiled must not lose to vectorized on a branched
-#: robot (the serve runtime ships compiled as its default engine).
-SMOKE_FLOOR = 1.0
-#: Acceptance target at the accelerator's native batch size.
-BRANCHED_FD_TARGET = 1.5
-#: Per-robot dFD floors at batch 256 (compiled vs vectorized).  dFD used
-#: to ride along unasserted, so a high-DOF regression (atlas sat at
-#: ~1.0x) was silent; these floors sit ~20-25% under the measured
-#: packed-sweep speedups (hyq 1.44x, quadruped_arm 1.04x, atlas 1.08x on
-#: the 1-core CI runner) so noise doesn't trip them but a real
-#: regression does.
-DFD_FLOORS = {"hyq": 1.1, "quadruped_arm": 0.8, "atlas": 0.85}
+#: Per-batch compiled/loop floors on every branched FD cell (measured
+#: 3.9-11.8x at batch 1, where per-call overhead dominates, and 57-136x
+#: at batch 64 and 256).
+FD_FLOORS = {1: 2.5, 64: 50.0, 256: 50.0}
+#: Acceptance target for the best branched FD cell at the accelerator's
+#: native batch size (measured 108-133x).
+BRANCHED_FD_TARGET = 80.0
+#: Per-robot compiled/loop dFD floors at batch 256 (measured hyq 48-74x,
+#: quadruped_arm 40-52x, atlas 33-45x).
+DFD_FLOORS = {"hyq": 52.0, "quadruped_arm": 30.0, "atlas": 25.0}
 
 
 def _time_engine(model, function, states, u, engine, reps) -> float:
@@ -66,8 +67,8 @@ def _time_engine(model, function, states, u, engine, reps) -> float:
 
 def run_plan_bench(robots=ROBOTS, batches=BATCHES,
                    functions=FUNCTIONS) -> list[dict]:
-    """Rows of {robot, function, batch, loop_s?, vectorized_s,
-    compiled_s, speedup} (speedup = vectorized / compiled)."""
+    """Rows of {robot, function, batch, loop_s, compiled_s, speedup}
+    (speedup = loop / compiled)."""
     rows = []
     for robot, branched in robots:
         model = load_robot(robot)
@@ -81,19 +82,16 @@ def run_plan_bench(robots=ROBOTS, batches=BATCHES,
                     "function": function,
                     "batch": batch,
                 }
-                if batch == 1:
-                    # The per-task loop reference is only affordable as a
-                    # singleton; at 256 tasks it would dominate the bench.
-                    row["loop_s"] = _time_engine(
-                        model, function, states, u, "loop", reps=3
-                    )
-                row["vectorized_s"] = _time_engine(
-                    model, function, states, u, "vectorized", reps=5
+                # One timed loop call past batch 1: it runs for seconds
+                # there, so host noise is small next to it.
+                row["loop_s"] = _time_engine(
+                    model, function, states, u, "loop",
+                    reps=3 if batch == 1 else 1,
                 )
                 row["compiled_s"] = _time_engine(
                     model, function, states, u, "compiled", reps=5
                 )
-                row["speedup"] = row["vectorized_s"] / row["compiled_s"]
+                row["speedup"] = row["loop_s"] / row["compiled_s"]
                 rows.append(row)
     return rows
 
@@ -102,16 +100,14 @@ def _plan_table(rows):
     from repro.reporting import Table
 
     table = Table(
-        "plan: compiled vs vectorized (speedup = vectorized / compiled)",
-        ["robot", "function", "batch", "loop (ms)", "vectorized (ms)",
-         "compiled (ms)", "speedup"],
+        "plan: compiled vs loop (speedup = loop / compiled)",
+        ["robot", "function", "batch", "loop (ms)", "compiled (ms)",
+         "speedup"],
     )
     for row in rows:
         table.add_row(
             row["robot"], row["function"].value, row["batch"],
-            "-" if "loop_s" not in row else row["loop_s"] * 1e3,
-            row["vectorized_s"] * 1e3, row["compiled_s"] * 1e3,
-            row["speedup"],
+            row["loop_s"] * 1e3, row["compiled_s"] * 1e3, row["speedup"],
         )
     return table
 
@@ -136,19 +132,32 @@ def _branched_speedups(rows, batch, function):
     }
 
 
+def _fd_regressions(rows) -> list[str]:
+    """Branched FD cells under their batch's floor, formatted for the
+    report."""
+    return [
+        f"{row['robot']}@{row['batch']}: FD {row['speedup']:.1f}x < floor "
+        f"{FD_FLOORS[row['batch']]:.1f}x"
+        for row in rows
+        if row["branched"] and row["function"] is RBDFunction.FD
+        and row["speedup"] < FD_FLOORS[row["batch"]]
+    ]
+
+
 def _dfd_regressions(rows) -> list[str]:
     """Per-robot dFD-at-256 floor violations, formatted for the report."""
     dfd256 = _branched_speedups(rows, 256, RBDFunction.DFD)
     return [
-        f"{robot}: dFD {dfd256[robot]:.2f}x < floor {floor:.2f}x"
+        f"{robot}: dFD {dfd256[robot]:.1f}x < floor {floor:.0f}x"
         for robot, floor in DFD_FLOORS.items()
         if robot in dfd256 and dfd256[robot] < floor
     ]
 
 
 def test_compiled_engine_speedup(once):
-    """Compiled >= vectorized on branched robots; >= 1.5x on FD at 256;
-    per-robot dFD floors hold (high-DOF robots regress loudly now)."""
+    """Compiled/loop holds each batch's floor on branched FD, reaches the
+    target on the best branched FD cell at 256, and per-robot dFD floors
+    hold."""
     from conftest import record_table
 
     def _run():
@@ -160,14 +169,13 @@ def test_compiled_engine_speedup(once):
         record_table(
             "== compiled-engine speedup (branched, batch 256) ==\n"
             + "\n".join(
-                f"{robot}: FD {s:.2f}x (floor {SMOKE_FLOOR:.1f}x), dFD "
-                f"{dfd256.get(robot, float('nan')):.2f}x (floor "
-                f"{DFD_FLOORS.get(robot, 0.0):.2f}x)"
+                f"{robot}: FD {s:.1f}x (floor {FD_FLOORS[256]:.0f}x), dFD "
+                f"{dfd256.get(robot, float('nan')):.1f}x (floor "
+                f"{DFD_FLOORS.get(robot, 0.0):.0f}x)"
                 for robot, s in fd256.items()
             )
         )
-        for robot, speedup in fd256.items():
-            assert speedup >= SMOKE_FLOOR, (robot, speedup)
+        assert not _fd_regressions(rows), _fd_regressions(rows)
         assert max(fd256.values()) >= BRANCHED_FD_TARGET
         assert not _dfd_regressions(rows), _dfd_regressions(rows)
 
@@ -184,11 +192,17 @@ def main(argv: list[str]) -> int:
     print(_plan_table(rows).render())
     print()
     print(_schedule_lines())
-    branched = [r for r in rows if r["branched"]
-                and r["function"] is RBDFunction.FD]
-    worst = min(r["speedup"] for r in branched)
-    print(f"\ncompiled vs vectorized on branched FD: worst {worst:.2f}x "
-          f"(floor {SMOKE_FLOOR:.1f}x)")
+    fd_regressions = _fd_regressions(rows)
+    for line in fd_regressions:
+        print(f"FD regression: {line}", file=sys.stderr)
+    worst = {
+        batch: min(_branched_speedups(rows, batch, RBDFunction.FD).values())
+        for batch in batches
+    }
+    print("\ncompiled vs loop on branched FD: worst " + ", ".join(
+        f"{s:.1f}x at batch {batch} (floor {FD_FLOORS[batch]:.1f}x)"
+        for batch, s in worst.items()
+    ))
     # Per-robot dFD floors only apply when the sweep covered dFD at 256
     # (full mode); quick mode has no dFD rows to assert on.
     dfd_regressions = _dfd_regressions(rows)
@@ -220,7 +234,7 @@ def main(argv: list[str]) -> int:
         ]
         path = write_bench_json(
             "plan", json_rows,
-            {"worst_branched_fd_speedup": worst, "floor": SMOKE_FLOOR,
+            {"worst_branched_fd_speedup": worst, "fd_floors": FD_FLOORS,
              "target": BRANCHED_FD_TARGET,
              "dfd_floors": DFD_FLOORS,
              "dfd_speedups_256": {
@@ -231,8 +245,8 @@ def main(argv: list[str]) -> int:
              "trace_summary": tracer.summary()},
         )
         print(f"wrote {path}")
-    if worst < SMOKE_FLOOR:
-        print("FAIL: compiled engine lost to vectorized on a branched robot",
+    if fd_regressions:
+        print("FAIL: branched FD cell below its batch floor",
               file=sys.stderr)
         return 1
     if dfd_regressions:

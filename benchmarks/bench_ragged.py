@@ -2,13 +2,13 @@
 
 Two measurements on top of the ragged-batching work:
 
-1. **Packed compiled sweeps vs the vectorized engine** — every
+1. **Packed compiled sweeps vs the loop reference** — every
    :class:`repro.dynamics.plan.ExecutionPlan` runs its mass-matrix and
    derivative kernels on packed ``(n, L, 6, |cols|)`` column slabs (each
    level's path/subtree DOF-column union as one contiguous window), the
    only layout the compiled engine has.  This times the ``compiled``
-   engine against the per-link ``vectorized`` engine for Minv and dFD
-   at the largest batch, serial (iiwa) and branched (hyq, atlas) trees.
+   engine against the per-task ``loop`` reference for Minv and dFD at
+   the largest batch, serial (iiwa) and branched (hyq, atlas) trees.
 
 2. **Coalesced vs fragmented mixed-robot serving** — a heterogeneous
    fleet (one queue per (robot, function)) fragments into per-robot
@@ -19,10 +19,11 @@ Two measurements on top of the ragged-batching work:
    per-request result-identity check (coalescing must not change any
    answer, bit for bit).
 
-Acceptance anchors: compiled dFD >= 1.0x vectorized at the largest
-batch on atlas *and* iiwa (CI smoke floor), and the coalesced serve run
-must actually merge queues (``flushed_merged >= 1``) while returning
-bitwise-identical results.
+Acceptance anchors: compiled dFD over loop at the largest batch >= 29x
+on atlas and >= 50x on iiwa (CI smoke floors; repeated runs on a 2-core
+host, numpy 2.4.6, measured atlas 32-44x, iiwa 57-93x), and the
+coalesced serve run must actually merge queues (``flushed_merged >= 1``)
+while returning bitwise-identical results.
 
 Runs under pytest (with the usual summary table) or directly for CI
 smoke::
@@ -45,22 +46,24 @@ from repro.serve import BatchPolicy, DynamicsService
 ROBOTS = ("iiwa", "hyq", "atlas")
 BATCH = 256
 FUNCTIONS = (RBDFunction.MINV, RBDFunction.DFD)
-#: Robots whose compiled-vs-vectorized dFD speedup is gated.
-GATED_ROBOTS = ("atlas", "iiwa")
-#: CI smoke floor for compiled-vs-vectorized dFD (1-core runner).
-RAGGED_FLOOR = 1.0
+#: CI smoke floors for compiled-vs-loop dFD, per gated robot.
+DFD_FLOORS = {"atlas": 29.0, "iiwa": 50.0}
+#: Compiled samples per loop sample in one timing rep.
+COMPILED_SAMPLES = 5
 #: Mixed-robot serve load: requests per robot, interleaved round-robin.
 SERVE_ROBOTS = ("iiwa", "hyq", "quadruped_arm")
 SERVE_REQUESTS_PER_ROBOT = 24
 
 
 def _time_engine_pair(model, function, batch, reps=3):
-    """Best-of-``reps`` wall seconds for (vectorized, compiled) calls.
+    """Best-of wall seconds for (loop, compiled) calls.
 
     The two engines' reps interleave so drift on a noisy shared host
-    hits both sides alike; only the within-run ratio is trusted.
+    hits both sides alike; only the within-run ratio is trusted.  A
+    compiled call is 30-90x shorter than a loop call, so each rep takes
+    ``COMPILED_SAMPLES`` compiled samples to one loop sample.
     """
-    engines = (get_engine("vectorized"), get_engine("compiled"))
+    engines = (get_engine("loop"), get_engine("compiled"))
     states = BatchStates.random(model, batch, seed=0)
     q, qd = states.q, states.qd
     tau = np.random.default_rng(1).normal(size=(batch, model.nv))
@@ -75,28 +78,29 @@ def _time_engine_pair(model, function, batch, reps=3):
     best = [float("inf"), float("inf")]
     for _ in range(reps):
         for side, (fn, args) in enumerate(calls):
-            t0 = time.perf_counter()
-            fn(*args)
-            best[side] = min(best[side], time.perf_counter() - t0)
+            for _ in range(COMPILED_SAMPLES if side else 1):
+                t0 = time.perf_counter()
+                fn(*args)
+                best[side] = min(best[side], time.perf_counter() - t0)
     return best[0], best[1]
 
 
 def run_packed_bench(robots=ROBOTS, batch=BATCH,
                      functions=FUNCTIONS, reps=3) -> list[dict]:
-    """Rows of {robot, function, batch, vectorized_s, compiled_s,
-    speedup} (speedup = vectorized / compiled)."""
+    """Rows of {robot, function, batch, loop_s, compiled_s, speedup}
+    (speedup = loop / compiled)."""
     rows = []
     for robot in robots:
         model = load_robot(robot)
         for function in functions:
-            vec_s, comp_s = _time_engine_pair(model, function, batch, reps)
+            loop_s, comp_s = _time_engine_pair(model, function, batch, reps)
             rows.append({
                 "robot": robot,
                 "function": function,
                 "batch": batch,
-                "vectorized_s": vec_s,
+                "loop_s": loop_s,
                 "compiled_s": comp_s,
-                "speedup": vec_s / comp_s,
+                "speedup": loop_s / comp_s,
             })
     return rows
 
@@ -151,14 +155,14 @@ def _packed_table(rows):
     from repro.reporting import Table
 
     table = Table(
-        "ragged: packed compiled sweeps vs vectorized "
-        "(speedup = vectorized/compiled)",
-        ["robot", "function", "batch", "vectorized (ms)", "compiled (ms)",
+        "ragged: packed compiled sweeps vs loop "
+        "(speedup = loop/compiled)",
+        ["robot", "function", "batch", "loop (ms)", "compiled (ms)",
          "speedup"],
     )
     for row in rows:
         table.add_row(row["robot"], row["function"].value, row["batch"],
-                      row["vectorized_s"] * 1e3, row["compiled_s"] * 1e3,
+                      row["loop_s"] * 1e3, row["compiled_s"] * 1e3,
                       row["speedup"])
     return table
 
@@ -179,23 +183,23 @@ def _serve_table(rows):
 
 
 def _gated_dfd_speedups(rows) -> dict:
-    """Compiled-vs-vectorized dFD speedup per gated robot."""
+    """Compiled-vs-loop dFD speedup per gated robot."""
     return {
         row["robot"]: row["speedup"] for row in rows
-        if row["robot"] in GATED_ROBOTS
+        if row["robot"] in DFD_FLOORS
         and row["function"] is RBDFunction.DFD
     }
 
 
 def _speedup_line(speedups: dict) -> str:
-    cells = ", ".join(f"{robot} {x:.2f}x" for robot, x in speedups.items())
-    return (f"compiled vs vectorized dFD at {BATCH}: {cells} "
-            f"(floor {RAGGED_FLOOR:.1f}x)")
+    cells = ", ".join(f"{robot} {x:.1f}x (floor {DFD_FLOORS[robot]:.0f}x)"
+                      for robot, x in speedups.items())
+    return f"compiled vs loop dFD at {BATCH}: {cells}"
 
 
 def test_packed_sweep_speedup(once):
-    """Compiled >= vectorized dFD on atlas and iiwa; serve coalescing
-    merges losslessly."""
+    """Compiled/loop dFD >= its floor on atlas and iiwa; serve
+    coalescing merges losslessly."""
     from conftest import record_table
 
     def _run():
@@ -203,8 +207,8 @@ def test_packed_sweep_speedup(once):
         record_table(_packed_table(rows))
         speedups = _gated_dfd_speedups(rows)
         record_table(f"== packed-column sweeps ==\n{_speedup_line(speedups)}")
-        assert set(speedups) == set(GATED_ROBOTS), speedups
-        assert min(speedups.values()) >= RAGGED_FLOOR, speedups
+        assert set(speedups) == set(DFD_FLOORS), speedups
+        assert all(x >= DFD_FLOORS[r] for r, x in speedups.items()), speedups
         serve_rows, identical = run_serve_bench(requests_per_robot=8)
         record_table(_serve_table(serve_rows))
         coalesced = serve_rows[1]
@@ -237,17 +241,17 @@ def main(argv: list[str]) -> int:
         ] + serve_rows
         path = write_bench_json(
             "ragged", json_rows,
-            {"dfd_speedup_vs_vectorized": speedups,
-             "floor": RAGGED_FLOOR,
+            {"dfd_speedup_vs_loop": speedups,
+             "floors": DFD_FLOORS,
              "serve_results_identical": identical,
              "coalesced_merged_flushes": serve_rows[1]["flushed_merged"],
              "coalesced_queues_per_flush":
                  serve_rows[1]["queues_per_flush"]},
         )
         print(f"wrote {path}")
-    slow = {r: x for r, x in speedups.items() if x < RAGGED_FLOOR}
+    slow = {r: x for r, x in speedups.items() if x < DFD_FLOORS[r]}
     if slow:
-        print(f"FAIL: compiled dFD lost to vectorized on {sorted(slow)}",
+        print(f"FAIL: compiled/loop dFD below floor on {sorted(slow)}",
               file=sys.stderr)
         return 1
     if not identical:

@@ -29,8 +29,9 @@ Protocol (client -> server), one JSON object per line::
 
 Responses echo ``id`` and carry ``"ok": true`` or ``"ok": false`` with
 ``error`` (exception class name) and ``message``; rate-limit refusals
-include ``retry_after_s``.  A frame that is valid JSON but not an object
-is answered with ``"error": "InvalidFrame"`` and the connection stays
+include ``retry_after_s``.  A frame that is valid JSON but not an
+object, or a ``submit``/``rollout`` frame missing a required field, is
+answered with ``"error": "InvalidFrame"`` and the connection stays
 open.  Float arrays in responses (``value``, ``qs``, ``qds``, and each
 field of a structured result such as ``FDDerivatives``, which is sent as
 an object of its fields) are binary::
@@ -66,6 +67,21 @@ from repro.dynamics.functions import RBDFunction
 from repro.serve.service import DynamicsService
 
 __all__ = ["AsyncDynamicsServer"]
+
+class InvalidFrame(ValueError):
+    """A frame the protocol cannot act on (answered, never fatal)."""
+
+
+def _required(message: dict, key: str):
+    """``message[key]``; an absent or ``null`` field is an InvalidFrame
+    naming it (a bare KeyError would read like an unknown robot)."""
+    value = message.get(key)
+    if value is None:
+        raise InvalidFrame(
+            f"{message.get('op')} frame is missing required field {key!r}"
+        )
+    return value
+
 
 def _error_payload(req_id, exc: BaseException) -> dict:
     payload = {
@@ -139,13 +155,11 @@ class AsyncDynamicsServer:
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
         self.connections += 1
-        peer = writer.get_extra_info("peername")
         tenant = f"conn-{self.connections}"
         write_lock = asyncio.Lock()
         #: Live streaming rollouts on this connection, id -> stream.
         streams: dict = {}
         tasks: set[asyncio.Task] = set()
-        tracer = self.service.tracer
 
         async def send(payload: dict) -> None:
             data = encode_line(payload)
@@ -175,11 +189,10 @@ class AsyncDynamicsServer:
                     await send(_error_payload(None, exc))
                     continue
                 if not isinstance(message, dict):
-                    await send({
-                        "id": None, "ok": False, "error": "InvalidFrame",
-                        "message": "a frame must be a JSON object, got "
-                                   f"{type(message).__name__}",
-                    })
+                    await send(_error_payload(None, InvalidFrame(
+                        "a frame must be a JSON object, got "
+                        f"{type(message).__name__}"
+                    )))
                     continue
                 op = message.get("op")
                 if op == "hello":
@@ -208,8 +221,6 @@ class AsyncDynamicsServer:
                 stream.cancel()
             for task in tasks:
                 task.cancel()
-            if tracer is not None and peer is not None:
-                pass        # connection spans are the requests' spans
             writer.close()
             try:
                 await writer.wait_closed()
@@ -276,8 +287,9 @@ class AsyncDynamicsServer:
             f_ext = {int(k): np.asarray(v, dtype=float)
                      for k, v in f_ext.items()}
         result = await self.gateway.submit(
-            message["robot"], RBDFunction(message["function"]),
-            np.asarray(message["q"], dtype=float),
+            _required(message, "robot"),
+            RBDFunction(_required(message, "function")),
+            np.asarray(_required(message, "q"), dtype=float),
             qd=(None if message.get("qd") is None
                 else np.asarray(message["qd"], dtype=float)),
             u=(None if message.get("u") is None
@@ -310,11 +322,11 @@ class AsyncDynamicsServer:
             urgent=message.get("urgent"),
         )
         args = (
-            message["robot"],
-            np.asarray(message["q0"], dtype=float),
-            np.asarray(message["qd0"], dtype=float),
-            np.asarray(message["controls"], dtype=float),
-            float(message["dt"]),
+            _required(message, "robot"),
+            np.asarray(_required(message, "q0"), dtype=float),
+            np.asarray(_required(message, "qd0"), dtype=float),
+            np.asarray(_required(message, "controls"), dtype=float),
+            float(_required(message, "dt")),
         )
         window = message.get("window")
         if window is None:

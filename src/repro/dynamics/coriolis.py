@@ -65,7 +65,7 @@ def coriolis_matrix(
     _require_coordinate_velocities(model)
     qd = np.asarray(qd, dtype=float)
     dm = mass_matrix_derivatives(model, q, eps)
-    # c[i, j, k] vectorized from the three dM permutations.
+    # c[i, j, k] in one broadcast from the three dM permutations.
     christoffel = 0.5 * (
         dm
         + np.transpose(dm, (0, 2, 1))

@@ -30,7 +30,8 @@ built once per :class:`~repro.model.robot.RobotModel` (from the model plus
   its links can reach (subtree suffix / path prefix), the host-side
   version of the paper's incremental column vectors (Fig 7b);
 * **precomputed einsum paths** — every contraction in the Table-I kernels
-  replays a cached contraction path (see :func:`cached_einsum`);
+  replays a cached contraction path (see
+  :meth:`repro.backend.ArrayBackend.einsum`);
 * **a reusable workspace** — per-thread, preallocated transform /
   velocity / force / derivative stacks sized ``(n_max, n_links, ...)``,
   so steady-state calls never reallocate the O(n·links) recursion state
@@ -83,19 +84,6 @@ from repro.spatial.motion import crf, crf_bar, crm, cross_force, cross_motion
 #: bookkeeping — always runs on the host; only the finished constant
 #: stacks are placed on the plan's execution backend.
 np = host_backend().xp
-_HOST = host_backend()
-
-
-def cached_einsum(expr: str, *ops, out=None):
-    """Host ``einsum`` with a memoized ``einsum_path``.
-
-    Thin wrapper over the numpy backend's :meth:`ArrayBackend.einsum`
-    (which owns the path cache).  Kept as a module-level function because
-    the ``"vectorized"`` engine and older call sites import it from here;
-    plan kernels use their own backend's ``einsum`` so device plans
-    contract on the device.
-    """
-    return _HOST.einsum(expr, *ops, out=out)
 
 
 def _mv(x, v):
@@ -1760,6 +1748,5 @@ __all__ = [
     "PlanLevel",
     "PlanWorkspace",
     "TransformGroup",
-    "cached_einsum",
     "plan_for",
 ]

@@ -9,7 +9,7 @@ Rz(theta).T`` where ``Rz`` is the usual rotation matrix.
 ``skew``, ``unskew``, ``exp_so3`` and ``log_so3`` accept leading batch axes:
 a ``(..., 3)`` rotation vector maps to a ``(..., 3, 3)`` matrix and back,
 with every batch element treated independently.  This is the substrate the
-vectorized dynamics engine builds on (loop over links, broadcast over
+batched dynamics kernels and rollout integrators build on (broadcast over
 tasks).
 
 Array math routes through :mod:`repro.backend`: every operator resolves

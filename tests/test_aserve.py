@@ -435,6 +435,51 @@ class TestSocketServer:
         assert replies[4]["id"] == 7 and replies[4]["ok"] is True
         assert replies[4]["value"].shape == (7,)
 
+    def test_missing_field_is_an_invalid_frame(self):
+        """A submit or rollout frame without a required field answers
+        InvalidFrame naming the field; an unknown robot keeps its own
+        error; the same connection then serves a normal submit."""
+        q0, qd0, _ = _inputs(1, seed=14)
+        good = {"op": "submit", "robot": "iiwa", "function": "FD",
+                "q": q0.tolist(), "qd": qd0.tolist(), "u": [0.0] * 7}
+        frames = [
+            {**good, "id": 1, "robot": None},
+            {key: v for key, v in good.items() if key != "q"} | {"id": 2},
+            {"op": "rollout", "id": 3, "robot": "iiwa",
+             "q0": q0.tolist(), "qd0": qd0.tolist(), "dt": 1e-3},
+            {**good, "id": 4, "robot": "no-such-robot"},
+            {**good, "id": 5},
+        ]
+        with DynamicsService(n_shards=1) as service:
+
+            async def scenario():
+                async with AsyncDynamicsServer(service, port=0) as server:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.port, limit=wire.MAX_LINE)
+                    replies = {}
+                    # One frame at a time: replies may otherwise arrive
+                    # out of order.
+                    for frame in frames:
+                        writer.write(json.dumps(frame).encode() + b"\n")
+                        await writer.drain()
+                        reply = wire.decode_line(await asyncio.wait_for(
+                            reader.readline(), 30))
+                        replies[reply["id"]] = reply
+                    writer.close()
+                    await writer.wait_closed()
+                    return replies
+
+            replies = asyncio.run(scenario())
+        for req_id, field in ((1, "'robot'"), (2, "'q'"), (3, "'controls'")):
+            assert replies[req_id]["ok"] is False
+            assert replies[req_id]["error"] == "InvalidFrame"
+            assert field in replies[req_id]["message"]
+        assert replies[4]["ok"] is False
+        assert replies[4]["error"] != "InvalidFrame"
+        assert "no-such-robot" in replies[4]["message"]
+        assert replies[5]["ok"] is True
+        assert replies[5]["value"].shape == (7,)
+
     def test_non_finite_submit_is_a_typed_error(self):
         """A NaN operand comes back as a ValueError reply, never ok; the
         connection stays open for the next good submit."""

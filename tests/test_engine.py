@@ -1,10 +1,12 @@
 """Equivalence suite for the batch execution engines.
 
-The vectorized engine must be numerically interchangeable with the loop
-reference engine — same Table-I function, same robot, same batch — to
-1e-10, including the batch-size extremes the serve runtime produces
-(singleton flushes and full 256-task accelerator loads) and the
-external-force path.
+The default engine (what :func:`batch_evaluate` runs when a call names
+none) must be numerically interchangeable with the loop reference engine
+— same Table-I function, same robot, same batch — to 1e-10, including
+the batch-size extremes the serve runtime produces (singleton flushes and
+full 256-task accelerator loads) and the external-force path.  The
+compiled kernels' own suite, including rewritten topologies, lives in
+``test_plan.py``.
 """
 
 import copy
@@ -21,7 +23,6 @@ from repro.dynamics.engine import (
     CompiledEngine,
     Engine,
     LoopEngine,
-    VectorizedEngine,
     available_engines,
     default_engine_name,
     get_engine,
@@ -67,7 +68,7 @@ def _compare(function, got, want):
 
 
 class TestEngineEquivalence:
-    """vectorized == loop on every robot x function the library knows."""
+    """default engine == loop on every robot x function the library knows."""
 
     @pytest.mark.parametrize("function", FUNCTIONS, ids=lambda f: f.value)
     @pytest.mark.parametrize("robot", ROBOTS)
@@ -76,9 +77,8 @@ class TestEngineEquivalence:
         states, u, minv = _batch_inputs(model, function, n=4, seed=3)
         loop = batch_evaluate(model, function, states, u, minv=minv,
                               engine="loop")
-        vec = batch_evaluate(model, function, states, u, minv=minv,
-                             engine="vectorized")
-        _compare(function, vec, loop)
+        got = batch_evaluate(model, function, states, u, minv=minv)
+        _compare(function, got, loop)
 
     @pytest.mark.parametrize("function", FUNCTIONS, ids=lambda f: f.value)
     @pytest.mark.parametrize("n", [1, 256])
@@ -88,9 +88,8 @@ class TestEngineEquivalence:
         states, u, minv = _batch_inputs(model, function, n=n, seed=5)
         loop = batch_evaluate(model, function, states, u, minv=minv,
                               engine="loop")
-        vec = batch_evaluate(model, function, states, u, minv=minv,
-                             engine="vectorized")
-        _compare(function, vec, loop)
+        got = batch_evaluate(model, function, states, u, minv=minv)
+        _compare(function, got, loop)
 
     @pytest.mark.parametrize(
         "function",
@@ -109,9 +108,8 @@ class TestEngineEquivalence:
         }
         loop = batch_evaluate(model, function, states, u, f_ext=f_ext,
                               engine="loop")
-        vec = batch_evaluate(model, function, states, u, f_ext=f_ext,
-                             engine="vectorized")
-        _compare(function, vec, loop)
+        got = batch_evaluate(model, function, states, u, f_ext=f_ext)
+        _compare(function, got, loop)
 
     def test_external_force_matches_scalar_reference(self):
         """The batched f_ext path agrees with per-task scalar evaluate."""
@@ -120,12 +118,12 @@ class TestEngineEquivalence:
         states, u, _ = _batch_inputs(model, RBDFunction.ID, n, seed=9)
         rng = np.random.default_rng(10)
         stack = rng.normal(size=(n, 6))
-        vec = batch_evaluate(model, RBDFunction.ID, states, u,
-                             f_ext={2: stack}, engine="vectorized")
+        got = batch_evaluate(model, RBDFunction.ID, states, u,
+                             f_ext={2: stack}, engine="compiled")
         for k in range(n):
             direct = evaluate(model, RBDFunction.ID, states.q[k],
                               states.qd[k], u[k], f_ext={2: stack[k]})
-            np.testing.assert_allclose(vec[k], direct, **TOL)
+            np.testing.assert_allclose(got[k], direct, **TOL)
 
     def test_bad_f_ext_shape_rejected(self):
         with pytest.raises(ValueError, match="f_ext"):
@@ -147,17 +145,14 @@ class TestEngineEquivalence:
 
 class TestEngineSelection:
     def test_registry_contents(self):
-        assert available_engines() == (
-            "compiled", "jit", "loop", "process", "vectorized"
-        )
+        assert available_engines() == ("compiled", "jit", "loop", "process")
         assert isinstance(get_engine("loop"), LoopEngine)
-        assert isinstance(get_engine("vectorized"), VectorizedEngine)
         assert isinstance(get_engine("compiled"), CompiledEngine)
 
-    def test_default_is_vectorized(self):
-        assert default_engine_name() == "vectorized"
-        assert isinstance(get_engine(), VectorizedEngine)
-        assert isinstance(get_engine(None), VectorizedEngine)
+    def test_default_is_compiled(self):
+        assert default_engine_name() == "compiled"
+        assert get_engine() is get_engine("compiled")
+        assert isinstance(get_engine(None), CompiledEngine)
 
     def test_instance_passthrough(self):
         engine = get_engine("loop")
@@ -165,20 +160,15 @@ class TestEngineSelection:
         assert isinstance(engine, Engine)
 
     def test_set_default_engine_roundtrip(self):
-        from repro.dynamics.engine import default_engine_explicit
-
-        assert not default_engine_explicit()
         set_default_engine("loop")
         try:
             assert default_engine_name() == "loop"
             assert isinstance(get_engine(), LoopEngine)
-            assert default_engine_explicit()
         finally:
-            # Un-pin so later tests (e.g. the serve default) see the
+            # Restore so later tests (e.g. the serve default) see the
             # unmodified process default again.
             set_default_engine(None)
-        assert default_engine_name() == "vectorized"
-        assert not default_engine_explicit()
+        assert default_engine_name() == "compiled"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(KeyError, match="unknown engine"):
@@ -192,6 +182,6 @@ class TestEngineSelection:
         states, u, _ = _batch_inputs(model, RBDFunction.FD, 2, seed=1)
         by_default = batch_evaluate(model, RBDFunction.FD, states, u)
         by_name = batch_evaluate(model, RBDFunction.FD, states, u,
-                                 engine="vectorized")
+                                 engine="compiled")
         for a, b in zip(by_default, by_name):
             np.testing.assert_allclose(a, b, rtol=0, atol=0)

@@ -126,20 +126,17 @@ class TestPlanEquivalence:
     @pytest.mark.parametrize("function", DERIV_FUNCTIONS,
                              ids=lambda f: f.value)
     def test_batch_256_branched_derivatives(self, function):
-        """Derivative suite at 256 on a branched robot.
-
-        The reference here is the vectorized engine (itself loop-equivalent
-        per tests/test_engine.py); a 256-task loop-engine derivative run on
-        a 24-DOF robot would dominate the whole suite's runtime.
-        """
+        """Derivative suite at 256 on a branched robot, every row against
+        the loop reference (the slowest case in this file: 256 scalar
+        derivative runs on a 24-DOF robot)."""
         model = load_robot("quadruped_arm")
         states, u, minv = _batch_inputs(model, function, n=256, seed=7)
         f_ext = _random_f_ext(model, 256, seed=70)
-        vec = batch_evaluate(model, function, states, u, minv=minv,
-                             f_ext=f_ext, engine="vectorized")
+        loop = batch_evaluate(model, function, states, u, minv=minv,
+                              f_ext=f_ext, engine="loop")
         comp = batch_evaluate(model, function, states, u, minv=minv,
                               f_ext=f_ext, engine="compiled")
-        _compare(comp, vec)
+        _compare(comp, loop)
 
     @pytest.mark.parametrize("n", [1, 256])
     def test_f_ext_at_batch_extremes(self, n):

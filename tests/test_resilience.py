@@ -13,7 +13,7 @@ import pytest
 
 from repro.backend import BackendCapabilityError
 from repro.dynamics import BatchStates, batch_evaluate
-from repro.dynamics.engine import LoopEngine, register_engine
+from repro.dynamics.engine import CompiledEngine, LoopEngine, register_engine
 from repro.dynamics.functions import RBDFunction
 from repro.dynamics.process import ProcessEngine
 from repro.faults import FaultSpec, InjectedFault, injected
@@ -276,6 +276,26 @@ class TestEngineDegradation:
     def test_loop_engine_is_terminal(self):
         with DynamicsService(n_shards=1, engine="loop") as svc:
             assert svc._degrade_shard(svc.pool.shards[0]) is False
+
+    def test_compiled_degrades_to_loop(self, monkeypatch):
+        """The chain's last step: a compiled shard whose kernels raise a
+        capability error serves the batch on loop (which is terminal,
+        see above)."""
+        def unsupported(self, model, q):
+            raise BackendCapabilityError("compiled plans unavailable")
+
+        monkeypatch.setattr(CompiledEngine, "m_batch", unsupported)
+        q = np.linspace(-0.5, 0.5, 7)
+        want = LoopEngine().m_batch(load_robot("iiwa"), q[None])[0]
+        with DynamicsService(n_shards=1, engine="compiled") as svc:
+            shard = svc.pool.shards[0]
+            result = svc.submit("iiwa", RBDFunction.M, q,
+                                urgent=True).result(timeout=10.0)
+            np.testing.assert_allclose(result.value, want,
+                                       rtol=1e-10, atol=1e-10)
+            assert result.engine == "loop"
+            assert shard.engine_name == "loop"
+            assert svc.stats()["engine_degradations"] == 1
 
     def test_jit_without_backend_degrades_to_process(self, monkeypatch):
         """A jit shard whose trace backend is missing (jax-less host)
